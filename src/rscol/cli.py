@@ -8,6 +8,7 @@ Exit codes: 0 = yes/valid/ok, 1 = no/invalid, 2 = usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -144,14 +145,15 @@ def _decide_rs_worker(payload):
     pre = colouring.PartialColouring.of(n, fixed, k)
     budget = solver.SolveBudget(max_nodes=max_nodes, time_limit=time_limit)
     result = solver.decide_k_rs(g, k, pre=pre, budget=budget)
-    return result.status.value, result.nodes
+    witness = None if result.witness is None else result.witness.colours
+    return result.status.value, result.nodes, witness
 
 
 def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
     if threads <= 1 or g.n == 0:
         return solver.decide_k_rs(g, k, pre=pre, budget=budget)
-    # split the root vertex's colour choices across worker processes; the
-    # decision (not the witness) is deterministic
+    # split the root vertex's colour choices across worker processes; a YES
+    # from any worker stands, and the lowest root colour picks the witness
     import multiprocessing
 
     fixed = {} if pre is None else {v: c for v, c in enumerate(pre.colours) if c is not None}
@@ -165,14 +167,14 @@ def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
     ]
     with multiprocessing.Pool(min(threads, k)) as pool:
         outcomes = pool.map(_decide_rs_worker, payloads)
-    nodes = sum(n for _, n in outcomes)
-    statuses = {status for status, _ in outcomes}
-    if "yes" in statuses:
-        # recompute a witness sequentially for output stability
-        result = solver.decide_k_rs(g, k, pre=pre, budget=budget)
-        result.nodes = nodes
-        return result
-    if "budget_exceeded" in statuses:
+    nodes = sum(n for _, n, _ in outcomes)
+    for status, _, colours in outcomes:  # in root-colour order
+        if status == "yes":
+            witness = colouring.Colouring(colours, k)
+            if not colouring.is_rs(g, witness):
+                raise RuntimeError("a decide-rs worker returned a colouring that is not rs")
+            return solver.SolveResult(solver.SolveStatus.YES, witness=witness, nodes=nodes)
+    if any(status == "budget_exceeded" for status, _, _ in outcomes):
         return solver.SolveResult(solver.SolveStatus.BUDGET_EXCEEDED, nodes=nodes)
     return solver.SolveResult(solver.SolveStatus.NO, nodes=nodes)
 
@@ -393,8 +395,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parsing never mutates the parser, so one instance serves every run() in a process
+_cached_parser = functools.cache(build_parser)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _cached_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "order", None) == "ldf":

@@ -123,7 +123,8 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
         for u in g.neighbours(v):
             cnt[u][col] = cnt[u].get(col, 0) + 1
     result = Colouring.of(colours)
-    assert is_rs(g, result)
+    if not is_rs(g, result):
+        raise RuntimeError("greedy grouping produced a colouring that is not rs")
     return result
 
 

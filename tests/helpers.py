@@ -10,8 +10,16 @@ import heapq
 import itertools
 import random
 
-from rscol.colouring import Colouring
+from rscol.colouring import Colouring, is_ordered
 from rscol.graph import Graph
+from rscol.solver import (
+    DEFAULT_BUDGET,
+    SolveBudget,
+    SolveResult,
+    SolveStatus,
+    _BudgetHit,
+    _Search,
+)
 
 # -- named instances ---------------------------------------------------------
 
@@ -92,6 +100,67 @@ def brute_force_exists(g: Graph, k: int, accept, pre=None) -> bool:
         if accept(g, Colouring.of(assignment, k=k)):
             return True
     return False
+
+
+def backtrack_decide_k_ordered(
+    g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET
+) -> SolveResult:
+    """The per-rank BFS backtracker that rscol.solver.decide_k_ordered used
+    before the treedepth DP, kept as its differential oracle.  Same contract:
+    is there a k-ordered colouring (vertex ranking with k ranks)?"""
+    if k < 1:
+        return SolveResult(SolveStatus.NO if g.n else SolveStatus.YES)
+    s = _Search(g, k, budget)
+    colour, adj = s.colour, s.adj
+
+    def feasible(v: int, col: int) -> bool:
+        if s.cnt[v][col]:
+            return False
+        # Assigning col to v may close a low path between two vertices of some
+        # colour q >= col; such a violation never heals, so prune it now.
+        colour[v] = col
+        try:
+            for q in range(col, k):
+                # component of v within assigned vertices of colour <= q
+                stack, seen = [v], {v}
+                hits = 1 if col == q else 0
+                while stack:
+                    u = stack.pop()
+                    for w in adj[u]:
+                        cw = colour[w]
+                        if w not in seen and 0 <= cw <= q:
+                            seen.add(w)
+                            if cw == q:
+                                hits += 1
+                                if hits > 1:
+                                    return False
+                            stack.append(w)
+        finally:
+            colour[v] = -1
+        return True
+
+    try:
+
+        def search(depth: int) -> bool:
+            if depth == g.n:
+                return True
+            v = s.next_vertex()
+            for col in range(k):
+                if feasible(v, col):
+                    s.place(v, col)
+                    if search(depth + 1):
+                        return True
+                    s.unplace(v, col)
+            return False
+
+        found = search(0)
+    except _BudgetHit:
+        return SolveResult(SolveStatus.BUDGET_EXCEEDED, nodes=s.nodes)
+    if found:
+        witness = Colouring(tuple(colour), k)
+        assert is_ordered(g, witness)
+        return SolveResult(SolveStatus.YES, witness=witness, nodes=s.nodes)
+    return SolveResult(SolveStatus.NO, nodes=s.nodes)
 
 
 def brute_max_independent_set_size(g: Graph) -> int:
@@ -273,6 +342,12 @@ def random_cobipartite(n: int, rng: random.Random):
             if rng.random() < 0.4:
                 edges.append((u, v))
     return Graph.from_edge_list(n, edges), side_a, side_b
+
+
+def c13_cobipartite_graphs() -> list[Graph]:
+    """The 100 co-bipartite graphs of acceptance criterion c13, same seed and order."""
+    rng = random.Random(1313)
+    return [random_cobipartite(rng.randint(2, 10), rng)[0] for _ in range(100)]
 
 
 def random_split(n: int, rng: random.Random):

@@ -3,8 +3,8 @@ import pytest
 
 import helpers
 from rscol import cli
-from rscol.colouring import Colouring, parse_colouring, write_colouring_file
-from rscol.graph import star_graph, write_graph_file
+from rscol.colouring import Colouring, is_rs, parse_colouring, write_colouring_file
+from rscol.graph import Graph, star_graph, write_graph_file
 from rscol.hessian import read_dense_csv, read_matrix_market
 
 
@@ -77,8 +77,6 @@ class TestSolve:
         assert (code, token) == (0, "YES")
         with open(witness) as fh:
             c = parse_colouring(fh, 5)
-        from rscol.colouring import is_rs
-
         assert is_rs(helpers.dart(), Colouring.of(c.colours, k=3))
 
     def test_decide_no(self, workdir, capsys):
@@ -123,6 +121,26 @@ class TestSolve:
             "--threads", "2",
         )
         assert (code2, token2) == (1, "NO")
+
+    def test_threads_keep_a_parallel_yes(self, tmp_path, capsys):
+        # 50 nodes are too few for the sequential solve, but enough for the
+        # worker that colours the root vertex 2, so the split must answer YES
+        edges = [
+            (0, 7), (0, 12), (1, 3), (1, 8), (1, 15), (2, 5), (2, 12), (2, 15), (4, 5),
+            (4, 11), (4, 13), (4, 14), (5, 12), (6, 8), (6, 12), (7, 13), (9, 14),
+            (10, 13), (10, 14), (11, 15),
+        ]
+        g = Graph.from_edge_list(16, edges)
+        write_graph_file(g, str(tmp_path / "g16.gr"))
+        witness = tmp_path / "w.col"
+        argv = ["solve", "--task", "decide-rs", "-g", tmp_path / "g16.gr", "-k", "4",
+                "--budget-nodes", "50"]
+        assert run_cli(capsys, *argv)[:2] == (3, "BUDGET_EXCEEDED")
+        code, token, _ = run_cli(capsys, *argv, "--threads", "2", "--witness-out", witness)
+        assert (code, token) == (0, "YES")
+        with open(witness) as fh:
+            c = parse_colouring(fh, 16)
+        assert is_rs(g, Colouring.of(c.colours, k=4))
 
     def test_dot_export_flag(self, workdir, capsys):
         dot = workdir / "dart.dot"
@@ -252,6 +270,38 @@ class TestHessianCommands:
             "-o", workdir / "b2.csv",
         )
         assert (code, token) == (0, "OK")
+
+
+class TestRepeatedRuns:
+    def test_no_parsed_value_carries_over(self, workdir, capsys, monkeypatch):
+        parsed = []
+        parse_args = cli._Parser.parse_args
+
+        def recording(self, *args, **kwargs):
+            namespace = parse_args(self, *args, **kwargs)
+            parsed.append(dict(vars(namespace)))
+            return namespace
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recording)
+        mtx, dart = workdir / "h.mtx", workdir / "dart.gr"
+        runs = [
+            ("hess-compress", "-m", mtx, "--order", "ldf", "-o", workdir / "b1.csv",
+             "--groups", workdir / "g1.col"),
+            ("hess-compress", "-m", mtx, "-o", workdir / "b2.csv"),
+            ("solve", "--task", "decide-rs", "-g", dart, "-k", "3", "--budget-nodes", "99"),
+            ("solve", "--task", "chi-rs", "-g", dart),
+            ("verify", "--kind", "ordered", "-g", dart, "-c", workdir / "dart.col"),
+            ("verify", "-g", dart, "-c", workdir / "dart.col"),
+        ]
+        tokens = [run_cli(capsys, *argv)[:2] for argv in runs]
+        assert tokens == [(0, "OK"), (0, "OK"), (0, "YES"), (0, "3"), (1, "INVALID"), (0, "VALID")]
+        assert (parsed[0]["order"], parsed[1]["order"]) == ("ldf", "natural")
+        assert (parsed[0]["groups"], parsed[1]["groups"]) == (str(workdir / "g1.col"), None)
+        assert (parsed[2]["colours"], parsed[3]["colours"]) == (3, None)
+        assert (parsed[2]["budget_nodes"], parsed[3]["budget_nodes"]) == (99, 10_000_000)
+        assert (parsed[4]["kind"], parsed[5]["kind"]) == ("ordered", "rs")
+        assert "order" not in parsed[2] and "task" not in parsed[4]
+        assert cli._cached_parser.cache_info().misses == 1
 
 
 class TestErrors:

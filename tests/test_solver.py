@@ -11,6 +11,7 @@ from rscol.graph import (
     path_graph,
     star_graph,
 )
+from rscol.hessian import greedy_rs_colouring
 from rscol.solver import (
     BudgetExceededError,
     SolveBudget,
@@ -193,6 +194,45 @@ class TestOrderedDecision:
             result = decide_k_ordered(g, k)
             if result.status is SolveStatus.YES:
                 assert is_ordered(g, result.witness)
+
+    def test_matches_backtracker_oracle(self, rng):
+        graphs = [
+            helpers.random_graph(rng.randint(1, 8), p, rng)
+            for p in (0.2, 0.4, 0.6, 0.8)
+            for _ in range(15)
+        ]
+        graphs += helpers.c13_cobipartite_graphs()
+        for g in graphs:
+            top = decide_k_ordered(g, g.n + 1).witness
+            for k in range(1, g.n + 2):
+                result = decide_k_ordered(g, k)
+                assert result.status is helpers.backtrack_decide_k_ordered(g, k).status
+                if result.status is SolveStatus.YES:
+                    assert is_ordered(g, result.witness)
+                    assert max(result.witness.colours) < k
+                    assert result.witness.colours == top.colours
+
+    def test_budget_exceeded_is_distinct(self):
+        tiny = SolveBudget(max_nodes=3, time_limit=60)
+        assert decide_k_ordered(cycle_graph(8), 8, budget=tiny).status is SolveStatus.BUDGET_EXCEEDED
+        with pytest.raises(BudgetExceededError):
+            ordered_chromatic_number(cycle_graph(8), budget=tiny)
+
+
+@pytest.mark.parametrize(
+    "module, verifier, solve",
+    [
+        ("solver", "is_rs", lambda: decide_k_rs(helpers.dart(), 3)),
+        ("solver", "is_star", lambda: decide_k_star(helpers.dart(), 3)),
+        ("solver", "is_ordered", lambda: decide_k_ordered(helpers.dart(), 3)),
+        ("hessian", "is_rs", lambda: greedy_rs_colouring(helpers.dart())),
+    ],
+)
+def test_invalid_witness_raises_without_assert(monkeypatch, module, verifier, solve):
+    # these checks must hold under python -O, which strips assert statements
+    monkeypatch.setattr(f"rscol.{module}.{verifier}", lambda g, c: False)
+    with pytest.raises(RuntimeError):
+        solve()
 
 
 class TestMaxIndependentSet:
