@@ -308,15 +308,15 @@ def check_properties_P(g: Graph, c: Colouring) -> PropertyReport:
 
 # -- file format --------------------------------------------------------------
 # One line per vertex: "<vertex_1based> <colour_0based>", sorted by vertex.
+# A line whose first token is exactly "c" is a comment, as in graph files.
 
 
 def parse_colouring(lines, n: int, source: str = "<colouring>") -> Colouring:
     assigned: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c "):
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ColouringError(f"{source}:{lineno}: expected '<vertex> <colour>'")
         try:
@@ -345,10 +345,9 @@ def parse_partial_colouring(lines, n: int, k: int, source: str = "<colouring>") 
     """Same format as a colouring file, but vertices may be left out."""
     assigned: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c "):
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ColouringError(f"{source}:{lineno}: expected '<vertex> <colour>'")
         try:

@@ -213,7 +213,13 @@ def recover(b: np.ndarray, p: SparsityPattern, s: SeedGrouping) -> np.ndarray:
 
 def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarray:
     """Coordinate Matrix Market reader (real or pattern, symmetric or general);
-    general data must still be structurally symmetric."""
+    general data must still be structurally symmetric.
+
+    Each cell may be listed once; in symmetric data (i, j) and (j, i) name the
+    same cell.  A repeated cell or a field that is not a number raises
+    PatternError with ``source:line``; repeats are found after the last line,
+    so a malformed line anywhere in the file is reported first.
+    """
     it = iter(enumerate(lines, start=1))
     try:
         lineno, header = next(it)
@@ -227,40 +233,63 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
         raise PatternError(f"{source}:1: need coordinate real/integer/pattern")
     if symmetry not in ("symmetric", "general"):
         raise PatternError(f"{source}:1: need symmetric or general symmetry")
-    shape = None
-    matrix = None
-    count = 0
+    n: int | None = None
     expected = 0
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
+    entry_lines: list[int] = []
     for lineno, raw in it:
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
         parts = line.split()
-        if shape is None:
+        if n is None:
             if len(parts) != 3:
                 raise PatternError(f"{source}:{lineno}: expected 'rows cols nnz'")
-            rows, cols, expected = int(parts[0]), int(parts[1]), int(parts[2])
-            if rows != cols:
+            try:
+                n, n_cols, expected = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise PatternError(f"{source}:{lineno}: non-numeric size line") from None
+            if n != n_cols:
                 raise PatternError(f"{source}:{lineno}: matrix must be square")
-            shape = (rows, cols)
-            matrix = np.zeros(shape)
+            if n < 0:
+                raise PatternError(f"{source}:{lineno}: negative size")
             continue
         want = 2 if kind == "pattern" else 3
         if len(parts) != want:
             raise PatternError(f"{source}:{lineno}: expected {want} fields")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            value = 1.0 if kind == "pattern" else float(parts[2])
+        except ValueError:
+            raise PatternError(f"{source}:{lineno}: non-numeric entry") from None
+        if not (0 <= i < n and 0 <= j < n):
             raise PatternError(f"{source}:{lineno}: index out of range")
-        value = 1.0 if kind == "pattern" else float(parts[2])
-        matrix[i, j] = value
-        if symmetry == "symmetric":
-            matrix[j, i] = value
-        count += 1
-    if shape is None:
+        rows.append(i)
+        cols.append(j)
+        values.append(value)
+        entry_lines.append(lineno)
+    if n is None:
         raise PatternError(f"{source}: missing size line")
-    if count != expected:
-        raise PatternError(f"{source}: declared {expected} entries, found {count}")
-    if symmetry == "general" and not np.array_equal(matrix != 0, (matrix != 0).T):
+    general = symmetry == "general"
+    r, c = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    cells = r * n + c if general else np.maximum(r, c) * n + np.minimum(r, c)
+    ordered = np.sort(cells)
+    if (ordered[1:] == ordered[:-1]).any():
+        seen: set[int] = set()
+        for k, cell in enumerate(cells.tolist()):
+            if cell in seen:
+                raise PatternError(
+                    f"{source}:{entry_lines[k]}: duplicate entry ({rows[k] + 1},{cols[k] + 1})")
+            seen.add(cell)
+    if len(values) != expected:
+        raise PatternError(f"{source}: declared {expected} entries, found {len(values)}")
+    matrix = np.zeros((n, n))
+    matrix[r, c] = values
+    if not general:
+        matrix[c, r] = values
+    if general and not np.array_equal(matrix != 0, (matrix != 0).T):
         raise PatternError(f"{source}: general matrix is not structurally symmetric")
     return matrix
 

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from rscol.colouring import Colouring, is_ordered
-from rscol.graph import Graph
+from rscol.graph import Edge, Graph, GraphError
 from rscol.solver import (
     DEFAULT_BUDGET,
     SolveBudget,
@@ -408,3 +408,64 @@ def peelable_2_degenerate(g: Graph) -> bool:
             if alive[w] and len(adj[w]) <= 2:
                 stack.append(w)
     return removed == g.n
+
+
+# -- graph ingest oracles -------------------------------------------------------------
+# The line parser and set-based builder as they were before bulk ingest.  The
+# parser still merges duplicate edges and skips every line starting with "c".
+
+
+def set_built_graph(n: int, edges) -> Graph:
+    """Build a graph on vertices 0..n-1 from (possibly duplicated) edges."""
+    if n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, [sorted(s) for s in adj])
+
+
+def line_parsed_graph(lines, source: str = "<graph>") -> Graph:
+    n = -1
+    edges: list[Edge] = []
+    declared_m = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if n != -1:
+                raise GraphError(f"{source}:{lineno}: duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise GraphError(f"{source}:{lineno}: expected 'p edge <n> <m>'")
+            try:
+                n, declared_m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise GraphError(f"{source}:{lineno}: non-integer counts") from None
+        elif parts[0] == "e":
+            if n == -1:
+                raise GraphError(f"{source}:{lineno}: edge before problem line")
+            if len(parts) != 3:
+                raise GraphError(f"{source}:{lineno}: expected 'e <u> <v>'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphError(f"{source}:{lineno}: non-integer endpoint") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphError(f"{source}:{lineno}: endpoint outside 1..{n}")
+            if u == v:
+                raise GraphError(f"{source}:{lineno}: self-loop at {u}")
+            edges.append((u - 1, v - 1))
+        else:
+            raise GraphError(f"{source}:{lineno}: unknown line type {parts[0]!r}")
+    if n == -1:
+        raise GraphError(f"{source}: missing problem line")
+    if len(edges) != declared_m:
+        raise GraphError(f"{source}: declared {declared_m} edges, found {len(edges)}")
+    return set_built_graph(n, edges)

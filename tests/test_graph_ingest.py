@@ -1,0 +1,225 @@
+"""Graph ingest against the line parser and set-based builder it replaced.
+
+Files are drawn on both sides of BULK_MIN_EDGES, so the line-by-line path and
+the numpy path are each compared with the oracles in helpers.
+"""
+
+import io
+import random
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import helpers
+from rscol import graph
+from rscol.colouring import ColouringError, parse_colouring, parse_partial_colouring
+from rscol.graph import BULK_MIN_EDGES, Graph, GraphError, format_graph, parse_graph
+
+FUZZ = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+SIZES = st.one_of(st.integers(0, 40), st.integers(BULK_MIN_EDGES, BULK_MIN_EDGES + 150))
+
+
+def distinct_edges(m: int, rnd: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """n and m distinct 1-based edges in random orientation and order."""
+    n = 2 if m <= 1 else max(3, rnd.randint(m // 3 + 3, m + 3))
+    while n * (n - 1) // 2 < m:
+        n += 1
+    seen: set[tuple[int, int]] = set()
+    edges = []
+    while len(edges) < m:
+        u, v = rnd.sample(range(1, n + 1), 2)
+        if (min(u, v), max(u, v)) not in seen:
+            seen.add((min(u, v), max(u, v)))
+            edges.append((u, v))
+    return n, edges
+
+
+def respell(value: int, how: int) -> str:
+    """A spelling of `value` that int() reads back as `value`."""
+    text = str(value)
+    if how == 0:
+        return "+" + text
+    if how == 1:
+        return "000" + text
+    if how == 2 and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    return text.translate(str.maketrans("0123456789", "０１２３４５６７８９"))
+
+
+BAD_LINES = [
+    "e 1", "e 1 2 3", "e x 2", "e 1.5 2", "e 0x1 2", "e 1e3 2", "q 1 2", "E 1 2",
+    "p edge 3", "p edges 3 3", "p edge x 3", "p edge 3 y", "p edge 3 1", "%", "1 2",
+]
+
+MUTATION = st.tuples(
+    st.sampled_from(["comment", "blank", "respell", "huge", "range", "self-loop", "bad-line",
+                     "edge-before-p", "no-p", "count", "indent"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+
+
+@st.composite
+def graph_files(draw) -> str:
+    """Graph files with comments, blank lines, odd spellings and bad lines."""
+    m = draw(SIZES)
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, edges = distinct_edges(m, rnd)
+    lines = [f"p edge {n} {m}"] + [f"e {u} {v}" for u, v in edges]
+    for kind, a, b in draw(st.lists(MUTATION, max_size=4)):
+        at = a % (len(lines) + 1)
+        edge_at = 1 + a % m if m and lines[0].startswith("p") else None
+        if kind == "comment":
+            lines.insert(at, ["c", "c text here", "c 1 2", "  c\tindented"][b % 4])
+        elif kind == "blank":
+            lines.insert(at, ["", "   ", "\t"][b % 3])
+        elif kind == "indent":
+            lines[at % len(lines)] = "  " + lines[at % len(lines)] + " \t"
+        elif kind == "respell" and edge_at is not None:
+            parts = lines[edge_at].split()
+            if len(parts) == 3 and parts[0] == "e" and parts[1].isascii():
+                lines[edge_at] = f"e {respell(int(parts[1]), b % 4)} {parts[2]}"
+        elif kind == "huge" and edge_at is not None:
+            lines[edge_at] = f"e {'9' * (18 + b % 14)} 1"
+        elif kind == "range" and edge_at is not None:
+            lines[edge_at] = f"e {[0, -1, n + 1, 10**6][b % 4]} 1"
+        elif kind == "self-loop" and edge_at is not None:
+            lines[edge_at] = f"e {1 + b % n} {1 + b % n}"
+        elif kind == "bad-line":
+            lines.insert(at, BAD_LINES[b % len(BAD_LINES)])
+        elif kind == "edge-before-p" and b % 4 == 0:
+            lines.insert(0, "e 1 2")
+        elif kind == "no-p" and b % 4 == 0 and lines[0].startswith("p"):
+            del lines[0]
+        elif kind == "count" and lines[0].startswith("p"):
+            lines[0] = f"p edge {n} {max(0, m + [-1, 1, 5][b % 3])}"
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text: str):
+    try:
+        g = parse(io.StringIO(text), "f.gr")
+    except GraphError as exc:
+        return ("error", str(exc))
+    adj = g.adjacency()
+    assert all(type(w) is int for a in adj for w in a)
+    return ("graph", g.n, adj)
+
+
+class TestAgainstLineParser:
+    @FUZZ
+    @given(graph_files())
+    def test_same_graph_or_same_error(self, text):
+        assert outcome(parse_graph, text) == outcome(helpers.line_parsed_graph, text)
+
+    @FUZZ
+    @given(SIZES, st.integers(0, 2**32 - 1), st.integers(0, 10**6), st.booleans())
+    def test_repeated_edge_rejected_at_its_line(self, m, seed, at, with_later_error):
+        rnd = random.Random(seed)
+        n, edges = distinct_edges(max(m, 1), rnd)
+        lines = [f"p edge {n} {len(edges) + 1}"] + [f"e {u} {v}" for u, v in edges]
+        first = rnd.randrange(1, len(lines))
+        _, u, v = lines[first].split()
+        repeat = first + 1 + at % (len(lines) - first)
+        lines.insert(repeat, rnd.choice([f"e {u} {v}", f"e {v} {u}"]))
+        if with_later_error:
+            lines.append("e 1 1")
+        lo, hi = sorted((int(u), int(v)))
+        with pytest.raises(GraphError, match=rf"^f\.gr:{repeat + 1}: duplicate edge {lo} {hi}$"):
+            parse_graph(io.StringIO("\n".join(lines) + "\n"), "f.gr")
+
+    @FUZZ
+    @given(SIZES, st.integers(0, 2**32 - 1), st.text(max_size=30))
+    def test_format_roundtrip(self, m, seed, comment):
+        n, edges = distinct_edges(m, random.Random(seed))
+        g = Graph.from_edge_list(n, [(u - 1, v - 1) for u, v in edges])
+        again = parse_graph(io.StringIO(format_graph(g, comment=comment or None)))
+        assert again == g
+        assert all(type(w) is int for a in again.adjacency() for w in a)
+
+    def test_large_valid_file_needs_no_line_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("line-by-line check ran on a valid large file")
+
+        n, edges = distinct_edges(BULK_MIN_EDGES, random.Random(3))
+        text = f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+        expected = helpers.line_parsed_graph(io.StringIO(text))
+        monkeypatch.setattr(graph, "_edge_pairs", refuse)
+        assert parse_graph(io.StringIO(text)) == expected
+
+
+class TestDuplicateEdges:
+    def test_small_file(self):
+        with pytest.raises(GraphError, match=r"^f:3: duplicate edge 1 2$"):
+            parse_graph(io.StringIO("p edge 2 2\ne 1 2\ne 2 1\n"), "f")
+
+    def test_large_file(self):
+        m = BULK_MIN_EDGES + 10
+        lines = [f"p edge {m + 1} {m + 1}"] + [f"e {i} {i + 1}" for i in range(1, m + 1)]
+        lines.insert(700, "e 501 500")
+        with pytest.raises(GraphError, match=r"^f:701: duplicate edge 500 501$"):
+            parse_graph(io.StringIO("\n".join(lines) + "\n"), "f")
+
+    def test_builder_still_merges(self):
+        pairs = [(0, 1), (1, 0), (1, 2)]
+        as_array = Graph.from_edge_list(3, np.array(pairs))
+        assert as_array == Graph.from_edge_list(3, pairs) and as_array.m == 2
+
+
+class TestComments:
+    @pytest.mark.parametrize("comment", ["c", "c text", "  c  spaced out", "c\ttab"])
+    def test_graph_comment_skipped(self, comment):
+        g = parse_graph(io.StringIO(f"{comment}\np edge 3 1\n{comment}\ne 1 2\n"))
+        assert g.n == 3 and g.m == 1
+
+    def test_graph_c_prefixed_token_rejected(self):
+        with pytest.raises(GraphError, match=r"^f:2: unknown line type 'cx'$"):
+            parse_graph(io.StringIO("p edge 3 1\ncx 1 2\ne 1 2\n"), "f")
+
+    @pytest.mark.parametrize("comment", ["c", "c text", "  c  spaced out"])
+    def test_colouring_comment_skipped(self, comment):
+        text = f"{comment}\n1 0\n{comment}\n2 1\n"
+        assert parse_colouring(io.StringIO(text), 2).colours == (0, 1)
+        assert parse_partial_colouring(io.StringIO(text), 2, 2).colours == (0, 1)
+
+    def test_colouring_c_prefixed_token_rejected(self):
+        with pytest.raises(ColouringError, match=r"^f:2: expected"):
+            parse_colouring(io.StringIO("1 0\ncx 1 2\n2 1\n"), 2, "f")
+        with pytest.raises(ColouringError, match=r"^f:2: expected"):
+            parse_partial_colouring(io.StringIO("1 0\ncx 1 2\n"), 2, 2, "f")
+
+
+class TestArrayBuilder:
+    @FUZZ
+    @given(st.integers(0, 12), st.lists(st.tuples(st.integers(-2, 13), st.integers(-2, 13)),
+                                         max_size=40))
+    def test_matches_set_builder(self, n, pairs):
+        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        try:
+            expected = helpers.set_built_graph(n, pairs)
+        except GraphError as exc:
+            with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
+                Graph.from_edge_list(n, array)
+            return
+        g = Graph.from_edge_list(n, array)
+        assert g == expected
+        assert all(type(w) is int for a in g.adjacency() for w in a)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_integer_dtypes(self, dtype):
+        g = Graph.from_edge_list(4, np.array([[0, 1], [3, 1]], dtype=dtype))
+        assert g == Graph.from_edge_list(4, [(0, 1), (3, 1)])
+
+    def test_empty(self):
+        assert Graph.from_edge_list(0, np.zeros((0, 2), dtype=np.int64)) == Graph.from_edge_list(0, [])
+        assert Graph.from_edge_list(3, np.zeros((0, 2), dtype=np.int64)).m == 0
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3), dtype=np.int64), np.zeros(4, dtype=np.int64),
+                                     np.zeros((2, 2))])
+    def test_rejects_shape_and_dtype(self, bad):
+        with pytest.raises(GraphError, match=r"\(m, 2\) integers"):
+            Graph.from_edge_list(3, bad)

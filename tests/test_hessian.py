@@ -231,6 +231,45 @@ class TestMatrixMarket:
         with pytest.raises(PatternError, match="declared"):
             parse_matrix_market(io.StringIO(text))
 
+    HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+    def test_non_numeric_size_line_names_its_line(self):
+        with pytest.raises(PatternError, match=r"^m\.mtx:3: non-numeric size line$"):
+            parse_matrix_market(io.StringIO(self.HEADER + "% note\n2 two 1\n1 1 1.0\n"), "m.mtx")
+
+    def test_negative_size_names_its_line(self):
+        with pytest.raises(PatternError, match=r"^m\.mtx:2: negative size$"):
+            parse_matrix_market(io.StringIO(self.HEADER + "-2 -2 0\n"), "m.mtx")
+
+    def test_non_numeric_index_names_its_line(self):
+        with pytest.raises(PatternError, match=r"^m\.mtx:3: non-numeric entry$"):
+            parse_matrix_market(io.StringIO(self.HEADER + "2 2 1\n1 x 1.0\n"), "m.mtx")
+
+    def test_non_numeric_value_names_its_line(self):
+        text = self.HEADER + "2 2 2\n1 1 1.0\n2 1 abc\n"
+        with pytest.raises(PatternError, match=r"^m\.mtx:4: non-numeric entry$"):
+            parse_matrix_market(io.StringIO(text), "m.mtx")
+
+    def test_repeated_coordinate_rejected(self):
+        text = self.HEADER + "2 2 3\n1 1 1.0\n2 1 5.0\n2 1 7.0\n"
+        with pytest.raises(PatternError, match=r"^m\.mtx:5: duplicate entry \(2,1\)$"):
+            parse_matrix_market(io.StringIO(text), "m.mtx")
+
+    def test_symmetric_mirror_is_the_same_cell(self):
+        text = self.HEADER + "2 2 2\n2 1 5.0\n1 2 7.0\n"
+        with pytest.raises(PatternError, match=r"^m\.mtx:4: duplicate entry \(1,2\)$"):
+            parse_matrix_market(io.StringIO(text), "m.mtx")
+
+    def test_general_mirror_is_a_different_cell(self):
+        text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 5.0\n1 2 5.0\n"
+        m = parse_matrix_market(io.StringIO(text))
+        assert m[0, 1] == 5.0 and m[1, 0] == 5.0
+
+    def test_general_repeated_coordinate_rejected(self):
+        text = "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n2 1\n2 1\n"
+        with pytest.raises(PatternError, match=r":4: duplicate entry \(2,1\)$"):
+            parse_matrix_market(io.StringIO(text))
+
     def test_csv_roundtrip(self, tmp_path, rng):
         m = np.array([[1.25, -2.0], [0.0, 4.5]])
         path = str(tmp_path / "m.csv")
