@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
-from .graph import Graph, VertexId
+from .graph import Graph, VertexId, write_text
 
 
 class ColouringError(ValueError):
@@ -311,7 +311,8 @@ def check_properties_P(g: Graph, c: Colouring) -> PropertyReport:
 # A line whose first token is exactly "c" is a comment, as in graph files.
 
 
-def parse_colouring(lines, n: int, source: str = "<colouring>") -> Colouring:
+def _scan_colouring(lines, n: int, source: str) -> dict[int, int]:
+    """The 0-based vertex -> colour map of a full or partial colouring file."""
     assigned: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -330,6 +331,11 @@ def parse_colouring(lines, n: int, source: str = "<colouring>") -> Colouring:
         if v - 1 in assigned:
             raise ColouringError(f"{source}:{lineno}: vertex {v} coloured twice")
         assigned[v - 1] = col
+    return assigned
+
+
+def parse_colouring(lines, n: int, source: str = "<colouring>") -> Colouring:
+    assigned = _scan_colouring(lines, n, source)
     missing = [v + 1 for v in range(n) if v not in assigned]
     if missing:
         raise ColouringError(f"{source}: vertices without colour: {missing[:5]}")
@@ -343,23 +349,7 @@ def read_colouring_file(path: str, n: int) -> Colouring:
 
 def parse_partial_colouring(lines, n: int, k: int, source: str = "<colouring>") -> PartialColouring:
     """Same format as a colouring file, but vertices may be left out."""
-    assigned: dict[int, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
-        if len(parts) != 2:
-            raise ColouringError(f"{source}:{lineno}: expected '<vertex> <colour>'")
-        try:
-            v, col = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ColouringError(f"{source}:{lineno}: non-integer field") from None
-        if not (1 <= v <= n):
-            raise ColouringError(f"{source}:{lineno}: vertex {v} outside 1..{n}")
-        if v - 1 in assigned:
-            raise ColouringError(f"{source}:{lineno}: vertex {v} coloured twice")
-        assigned[v - 1] = col
-    return PartialColouring.of(n, assigned, k)
+    return PartialColouring.of(n, _scan_colouring(lines, n, source), k)
 
 
 def read_partial_colouring_file(path: str, n: int, k: int) -> PartialColouring:
@@ -372,9 +362,4 @@ def format_colouring(c: Colouring) -> str:
 
 
 def write_colouring_file(c: Colouring, path_or_file: str | IO[str]) -> None:
-    text = format_colouring(c)
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
+    write_text(format_colouring(c), path_or_file)

@@ -16,6 +16,7 @@ from .graph import (
     VertexId,
     connected_components,
     subdivide_all_edges,
+    write_text,
 )
 
 
@@ -448,6 +449,7 @@ def star_to_ordered_cobipartite(
 
 # -- DIMACS-style positive CNF files ------------------------------------------------
 # "p cnf <nvars> <nclauses>" then one clause per line "a b c 0", positive only.
+# A line whose first token is exactly "c" is a comment, as in graph files.
 
 
 def parse_cnf(lines: Iterable[str], source: str = "<cnf>") -> PositiveCnf:
@@ -455,10 +457,9 @@ def parse_cnf(lines: Iterable[str], source: str = "<cnf>") -> PositiveCnf:
     declared = 0
     clauses: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        parts = line.split()
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"{source}:{lineno}: expected 'p cnf <vars> <clauses>'")
@@ -505,9 +506,4 @@ def format_cnf(f: PositiveCnf) -> str:
 def write_names_file(gg: GadgetGraph, path_or_file: str | IO[str]) -> None:
     """Sidecar name map, one "name vertex_1based" line per named vertex."""
     lines = [f"{name} {v + 1}" for name, v in sorted(gg.names().items())]
-    text = "\n".join(lines) + "\n"
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
+    write_text("\n".join(lines) + "\n", path_or_file)

@@ -6,10 +6,10 @@ every operation that "modifies" a graph returns a new one.
 Graph files (``parse_graph``) have one record per line: ``p edge <n> <m>``
 once, then ``e <u> <v>`` per edge with 1-based endpoints.  A line whose first
 token is exactly ``c`` is a comment; blank lines are skipped.  Endpoints are
-read as ``int()`` reads them.  An endpoint outside 1..n, a self-loop, an edge
-listed twice (in either orientation), any other malformed line and a wrong
-edge count are errors that name ``source:line``; the first bad line in file
-order is reported.
+read as ``int()`` reads them.  A negative count, an endpoint outside 1..n, a
+self-loop, an edge listed twice (in either orientation), any other malformed
+line and a wrong edge count are errors that name ``source:line``; the first
+bad line in file order is reported.
 
 Ingest has two paths that give the same graph, sorted lists of Python ints:
 
@@ -498,9 +498,12 @@ def _scan_graph(lines: Iterable[str], source: str):
         else:
             try:
                 n, declared_m = int(parts[2]), int(parts[3])
-                continue
             except ValueError:
                 problem = "non-integer counts"
+            else:
+                if n >= 0 and declared_m >= 0:
+                    continue
+                problem = "negative vertex count" if n < 0 else "negative edge count"
         return n, declared_m, ends, edge_lines, GraphError(f"{source}:{lineno}: {problem}")
     return n, declared_m, ends, edge_lines, None
 
@@ -557,7 +560,11 @@ def format_graph(g: Graph, comment: str | None = None) -> str:
 
 
 def write_graph_file(g: Graph, path_or_file: str | IO[str], comment: str | None = None) -> None:
-    text = format_graph(g, comment)
+    write_text(format_graph(g, comment), path_or_file)
+
+
+def write_text(text: str, path_or_file: str | IO[str]) -> None:
+    """Write `text` to a path, or to an open text file left open."""
     if isinstance(path_or_file, str):
         with open(path_or_file, "w") as fh:
             fh.write(text)

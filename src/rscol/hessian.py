@@ -3,6 +3,8 @@
 An rs colouring guarantees direct recovery: every vertex has at most one
 neighbour in each lower colour class, so each off-diagonal entry can be read
 from the row of its higher-coloured endpoint in the compressed product.
+The pattern is held as index arrays, so compress and recover handle every
+entry in numpy operations rather than in a Python loop.
 """
 
 from __future__ import annotations
@@ -13,19 +15,21 @@ from typing import IO, Iterable
 import numpy as np
 
 from .colouring import Colouring, is_rs
-from .graph import Graph
+from .graph import Graph, write_text
 
 
 class PatternError(ValueError):
-    """Asymmetric or otherwise malformed sparsity input."""
+    """Asymmetric or otherwise malformed matrix or sparsity input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsityPattern:
-    """Symmetric off-diagonal structure; the diagonal is always treated as present."""
+    """Symmetric off-diagonal pairs (rows[t], cols[t]), rows[t] < cols[t], distinct
+    and in row-major order; the diagonal is always treated as present."""
 
     n: int
-    offdiag: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
+    rows: np.ndarray
+    cols: np.ndarray
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> SparsityPattern:
@@ -36,44 +40,50 @@ class SparsityPattern:
             if i == j:
                 raise PatternError("diagonal pairs are implicit, do not list them")
             out.add((min(i, j), max(i, j)))
-        return SparsityPattern(n, frozenset(out))
+        ij = np.array(sorted(out), dtype=np.intp).reshape(-1, 2)
+        return SparsityPattern(n, ij[:, 0], ij[:, 1])
 
     @staticmethod
     def from_dense(matrix: np.ndarray) -> SparsityPattern:
         a = np.asarray(matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise PatternError(f"need a square matrix, got shape {a.shape}")
-        if not np.array_equal(a != 0, (a != 0).T):
+        nonzero = a != 0
+        if not np.array_equal(nonzero, nonzero.T):
             raise PatternError("asymmetric sparsity structure")
-        rows, cols = np.nonzero(a)
-        pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if i < j]
-        return SparsityPattern.from_pairs(a.shape[0], pairs)
-
-    def contains(self, i: int, j: int) -> bool:
-        return i == j or (min(i, j), max(i, j)) in self.offdiag
+        rows, cols = np.nonzero(nonzero)
+        upper = rows < cols
+        return SparsityPattern(a.shape[0], rows[upper], cols[upper])
 
 
 def pattern_to_graph(p: SparsityPattern) -> Graph:
     """Adjacency graph: one vertex per row/column, one edge per off-diagonal pair."""
-    return Graph.from_edge_list(p.n, sorted(p.offdiag))
+    return Graph.from_edge_list(p.n, np.column_stack((p.rows, p.cols)))
 
 
 @dataclass(frozen=True)
 class SeedGrouping:
-    """Colour classes of an rs colouring, used as seed-matrix column groups."""
+    """An rs colouring whose colour classes are the seed-matrix column groups."""
 
     colouring: Colouring
-    groups: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def from_colouring(g: Graph, c: Colouring) -> SeedGrouping:
         if not is_rs(g, c):
             raise ValueError("grouping colouring must pass the rs verifier")
-        return SeedGrouping(c, tuple(tuple(cl) for cl in c.colour_classes()))
+        return SeedGrouping(c)
 
     @property
     def k(self) -> int:
         return self.colouring.k
+
+
+def _vertex_order(g: Graph, order: str) -> list[int]:
+    if order == "natural":
+        return list(range(g.n))
+    if order == "largest_degree_first":
+        return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    raise ValueError(f"unknown order {order!r}")
 
 
 def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
@@ -90,12 +100,6 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
     (iv) makes the choice total (without it, two vertices coloured 0 across an
     uncoloured middle vertex would leave that vertex with no legal colour).
     """
-    if order == "natural":
-        sequence = list(range(g.n))
-    elif order == "largest_degree_first":
-        sequence = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    else:
-        raise ValueError(f"unknown order {order!r}")
     colours = [-1] * g.n
     # cnt[v] maps colour -> number of neighbours of v with that colour
     cnt: list[dict[int, int]] = [dict() for _ in range(g.n)]
@@ -115,7 +119,7 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
                 return False
         return True
 
-    for v in sequence:
+    for v in _vertex_order(g, order):
         col = 0
         while not feasible(v, col):
             col += 1
@@ -131,14 +135,8 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
 def greedy_distance_two_colouring(g: Graph, order: str = "natural") -> Colouring:
     """Greedy distance-two colouring over the same orders; an upper-bound
     companion for the rs greedy."""
-    if order == "natural":
-        sequence = list(range(g.n))
-    elif order == "largest_degree_first":
-        sequence = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    else:
-        raise ValueError(f"unknown order {order!r}")
     colours = [-1] * g.n
-    for v in sequence:
+    for v in _vertex_order(g, order):
         banned = set()
         for u in g.neighbours(v):
             if colours[u] >= 0:
@@ -167,18 +165,16 @@ def compress(
     if not np.array_equal(a, a.T):
         raise PatternError("matrix is not symmetric")
     if pattern is not None:
-        check_pattern_conformance(a, pattern)
-    seed = np.zeros((n, s.k))
-    for v, col in enumerate(s.colouring.colours):
-        seed[v, col] = 1.0
-    return a @ seed
-
-
-def check_pattern_conformance(h: np.ndarray, p: SparsityPattern) -> None:
-    a = np.asarray(h)
-    for i, j in zip(*np.nonzero(a)):
-        if i < j and not p.contains(int(i), int(j)):
+        if pattern.n != n:
+            raise PatternError("grouping and pattern dimensions differ")
+        # a is symmetric, so the first stray entry in row-major order lies above the diagonal
+        outside = a != 0
+        outside[pattern.rows, pattern.cols] = outside[pattern.cols, pattern.rows] = False
+        np.fill_diagonal(outside, False)
+        if outside.any():
+            i, j = divmod(int(outside.argmax()), n)
             raise PatternError(f"nonzero entry ({i},{j}) outside the sparsity pattern")
+    return a @ np.eye(s.k)[np.array(s.colouring.colours, dtype=np.intp)]
 
 
 def recover(b: np.ndarray, p: SparsityPattern, s: SeedGrouping) -> np.ndarray:
@@ -197,14 +193,12 @@ def recover(b: np.ndarray, p: SparsityPattern, s: SeedGrouping) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (p.n, s.k):
         raise PatternError(f"compressed shape {b.shape}, expected {(p.n, s.k)}")
+    c = np.array(colouring.colours, dtype=np.intp)
     out = np.zeros((p.n, p.n))
-    for v in range(p.n):
-        out[v, v] = b[v, colouring[v]]
-    for i, j in sorted(p.offdiag):
-        hi, lo = (i, j) if colouring[i] > colouring[j] else (j, i)
-        value = b[hi, colouring[lo]]
-        out[i, j] = value
-        out[j, i] = value
+    np.fill_diagonal(out, b[np.arange(p.n), c])
+    hi = np.where(c[p.rows] > c[p.cols], p.rows, p.cols)
+    values = b[hi, c[p.rows + p.cols - hi]]  # the other endpoint has the lower colour
+    out[p.rows, p.cols] = out[p.cols, p.rows] = values
     return out
 
 
@@ -275,14 +269,11 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
     general = symmetry == "general"
     r, c = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     cells = r * n + c if general else np.maximum(r, c) * n + np.minimum(r, c)
-    ordered = np.sort(cells)
-    if (ordered[1:] == ordered[:-1]).any():
-        seen: set[int] = set()
-        for k, cell in enumerate(cells.tolist()):
-            if cell in seen:
-                raise PatternError(
-                    f"{source}:{entry_lines[k]}: duplicate entry ({rows[k] + 1},{cols[k] + 1})")
-            seen.add(cell)
+    order = np.argsort(cells, kind="stable")  # a repeat sorts after the cell's first entry
+    repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise PatternError(f"{source}:{entry_lines[k]}: duplicate entry ({r[k] + 1},{c[k] + 1})")
     if len(values) != expected:
         raise PatternError(f"{source}: declared {expected} entries, found {len(values)}")
     matrix = np.zeros((n, n))
@@ -301,15 +292,21 @@ def read_matrix_market(path: str) -> np.ndarray:
 
 def write_dense_csv(matrix: np.ndarray, path_or_file: str | IO[str]) -> None:
     a = np.asarray(matrix, dtype=float)
-    text = "\n".join(",".join(repr(float(x)) for x in row) for row in a) + "\n"
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
+    write_text("\n".join(",".join(repr(float(x)) for x in row) for row in a) + "\n", path_or_file)
 
 
 def read_dense_csv(path: str) -> np.ndarray:
+    """A field that is not a number, or a row whose length differs from the
+    first row's, raises PatternError with ``path:line``."""
+    rows: list[list[float]] = []
     with open(path) as fh:
-        rows = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError:
+                raise PatternError(f"{path}:{lineno}: non-numeric field") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise PatternError(f"{path}:{lineno}: expected {len(rows[0])} fields")
     return np.array(rows)

@@ -9,9 +9,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Iterable
 
-from rscol.colouring import Colouring, is_ordered
+import numpy as np
+
+from rscol.colouring import Colouring, is_ordered, is_rs
 from rscol.graph import Edge, Graph, GraphError
+from rscol.hessian import PatternError, SeedGrouping
 from rscol.solver import (
     DEFAULT_BUDGET,
     SolveBudget,
@@ -469,3 +474,101 @@ def line_parsed_graph(lines, source: str = "<graph>") -> Graph:
     if len(edges) != declared_m:
         raise GraphError(f"{source}: declared {declared_m} edges, found {len(edges)}")
     return set_built_graph(n, edges)
+
+
+# -- Hessian pattern oracle -----------------------------------------------------------
+# The sparsity pattern as a frozenset of pairs, with the per-entry conformance
+# check and recovery loops, as they were before the pattern became index arrays.
+
+
+@dataclass(frozen=True)
+class FrozensetPattern:
+    """Symmetric off-diagonal structure; the diagonal is always treated as present."""
+
+    n: int
+    offdiag: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
+
+    @staticmethod
+    def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> FrozensetPattern:
+        out = set()
+        for i, j in pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise PatternError(f"index pair ({i},{j}) outside [0,{n})")
+            if i == j:
+                raise PatternError("diagonal pairs are implicit, do not list them")
+            out.add((min(i, j), max(i, j)))
+        return FrozensetPattern(n, frozenset(out))
+
+    @staticmethod
+    def from_dense(matrix: np.ndarray) -> FrozensetPattern:
+        a = np.asarray(matrix)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise PatternError(f"need a square matrix, got shape {a.shape}")
+        if not np.array_equal(a != 0, (a != 0).T):
+            raise PatternError("asymmetric sparsity structure")
+        rows, cols = np.nonzero(a)
+        pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if i < j]
+        return FrozensetPattern.from_pairs(a.shape[0], pairs)
+
+    def contains(self, i: int, j: int) -> bool:
+        return i == j or (min(i, j), max(i, j)) in self.offdiag
+
+
+def frozenset_pattern_to_graph(p: FrozensetPattern) -> Graph:
+    """Adjacency graph: one vertex per row/column, one edge per off-diagonal pair."""
+    return Graph.from_edge_list(p.n, sorted(p.offdiag))
+
+
+def frozenset_compress(
+    h: np.ndarray, s: SeedGrouping, pattern: FrozensetPattern | None = None
+) -> np.ndarray:
+    """Compressed product B = H . S, where S has one indicator column per group.
+
+    When a pattern is given, entries outside it are rejected.
+    """
+    a = np.asarray(h, dtype=float)
+    n = len(s.colouring)
+    if a.shape != (n, n):
+        raise PatternError(f"matrix shape {a.shape} does not match grouping on {n} columns")
+    if not np.array_equal(a, a.T):
+        raise PatternError("matrix is not symmetric")
+    if pattern is not None:
+        frozenset_check_pattern_conformance(a, pattern)
+    seed = np.zeros((n, s.k))
+    for v, col in enumerate(s.colouring.colours):
+        seed[v, col] = 1.0
+    return a @ seed
+
+
+def frozenset_check_pattern_conformance(h: np.ndarray, p: FrozensetPattern) -> None:
+    a = np.asarray(h)
+    for i, j in zip(*np.nonzero(a)):
+        if i < j and not p.contains(int(i), int(j)):
+            raise PatternError(f"nonzero entry ({i},{j}) outside the sparsity pattern")
+
+
+def frozenset_recover(b: np.ndarray, p: FrozensetPattern, s: SeedGrouping) -> np.ndarray:
+    """Rebuild the full symmetric matrix from the compressed product.
+
+    H[v][v] = B[v][colour(v)]; for each pattern pair (u, v) with
+    colour(u) < colour(v), H[u][v] = B[v][colour(u)] (unique by the rs
+    property), mirrored to H[v][u].
+    """
+    colouring = s.colouring
+    if len(colouring) != p.n:
+        raise PatternError("grouping and pattern dimensions differ")
+    graph = frozenset_pattern_to_graph(p)
+    if not is_rs(graph, colouring):
+        raise ValueError("grouping is not an rs colouring of the pattern graph")
+    b = np.asarray(b, dtype=float)
+    if b.shape != (p.n, s.k):
+        raise PatternError(f"compressed shape {b.shape}, expected {(p.n, s.k)}")
+    out = np.zeros((p.n, p.n))
+    for v in range(p.n):
+        out[v, v] = b[v, colouring[v]]
+    for i, j in sorted(p.offdiag):
+        hi, lo = (i, j) if colouring[i] > colouring[j] else (j, i)
+        value = b[hi, colouring[lo]]
+        out[i, j] = value
+        out[j, i] = value
+    return out

@@ -317,6 +317,20 @@ class TestErrors:
         code, token, _ = run_cli(capsys, "frobnicate")
         assert (code, token) == (2, "ERROR")
 
+    @pytest.mark.parametrize("csv, message", [
+        ("1.0,0.5\n0.5,x\n", ":2: non-numeric field"),
+        ("1.0,0.5\n\n0.5\n", ":3: expected 2 fields"),
+    ])
+    def test_malformed_compressed_csv_reports_line(self, workdir, capsys, csv, message):
+        bad = workdir / "b.csv"
+        bad.write_text(csv)
+        code, token, out = run_cli(
+            capsys, "hess-recover", "--compressed", bad, "--pattern", workdir / "h.mtx",
+            "--groups", workdir / "dart.col", "-o", workdir / "rec.csv",
+        )
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1] == f"{bad}{message}"
+
     def test_malformed_graph_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.gr"
         bad.write_text("p edge 2 1\ne 1 5\n")

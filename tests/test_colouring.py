@@ -18,6 +18,7 @@ from rscol.colouring import (
     is_star,
     iter_paths,
     parse_colouring,
+    parse_partial_colouring,
 )
 from rscol.graph import Graph, cycle_graph, path_graph, star_graph
 from rscol.solver import SolveStatus, decide_k_rs, enumerate_k_rs
@@ -273,3 +274,9 @@ class TestFileFormat:
             parse_colouring(io.StringIO("1 0\n"), 2)
         with pytest.raises(ColouringError, match="twice"):
             parse_colouring(io.StringIO("1 0\n1 1\n2 0\n"), 2)
+
+    def test_negative_colour_names_its_line(self):
+        with pytest.raises(ColouringError, match=r"^f:2: negative colour$"):
+            parse_colouring(io.StringIO("1 0\n2 -1\n"), 2, "f")
+        with pytest.raises(ColouringError, match=r"^f:2: negative colour$"):
+            parse_partial_colouring(io.StringIO("1 0\n2 -1\n"), 2, 3, "f")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import helpers
 from rscol import graph
 from rscol.colouring import ColouringError, parse_colouring, parse_partial_colouring
+from rscol.constructions import CnfError, parse_cnf
 from rscol.graph import BULK_MIN_EDGES, Graph, GraphError, format_graph, parse_graph
 
 FUZZ = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -191,6 +192,26 @@ class TestComments:
             parse_colouring(io.StringIO("1 0\ncx 1 2\n2 1\n"), 2, "f")
         with pytest.raises(ColouringError, match=r"^f:2: expected"):
             parse_partial_colouring(io.StringIO("1 0\ncx 1 2\n"), 2, 2, "f")
+
+    @pytest.mark.parametrize("comment", ["c", "c text", "  c  spaced out", "c\ttab"])
+    def test_cnf_comment_skipped(self, comment):
+        f = parse_cnf(io.StringIO(f"{comment}\np cnf 3 1\n{comment}\n1 2 3 0\n"))
+        assert f.clauses == ((1, 2, 3),)
+
+    def test_cnf_c_prefixed_token_rejected(self):
+        with pytest.raises(CnfError, match=r"^f:2: non-integer literal$"):
+            parse_cnf(io.StringIO("p cnf 3 1\ncx 1 2 3 0\n1 2 3 0\n"), "f")
+
+
+class TestProblemLine:
+    @pytest.mark.parametrize("text, message", [
+        ("p edge -1 1\ne 1 2\n", "f:1: negative vertex count"),
+        ("p edge -3 0\n", "f:1: negative vertex count"),
+        ("c note\np edge 3 -1\n", "f:2: negative edge count"),
+    ])
+    def test_negative_count_rejected_at_its_line(self, text, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            parse_graph(io.StringIO(text), "f")
 
 
 class TestArrayBuilder:

@@ -1,7 +1,11 @@
 import io
+import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from rscol.colouring import Colouring, is_rs
@@ -149,6 +153,12 @@ class TestCompress:
         with pytest.raises(PatternError):
             compress(h, s, p)
 
+    def test_rejects_pattern_of_other_size(self):
+        p = SparsityPattern.from_pairs(4, [(2, 3)])
+        s = self._grouping(pattern_to_graph(SparsityPattern.from_pairs(3, [])))
+        with pytest.raises(PatternError, match="^grouping and pattern dimensions differ$"):
+            compress(np.eye(3), s, p)
+
 
 class TestRecover:
     def test_roundtrip_random(self, rng):
@@ -187,7 +197,7 @@ class TestRecover:
 
     def test_rejects_non_rs_grouping(self):
         p = SparsityPattern.from_pairs(3, [(0, 1), (1, 2)])
-        bad = SeedGrouping(Colouring.of([0, 1, 0], k=2), ((0, 2), (1,)))
+        bad = SeedGrouping(Colouring.of([0, 1, 0], k=2))
         with pytest.raises(ValueError):
             recover(np.zeros((3, 2)), p, bad)
 
@@ -275,3 +285,101 @@ class TestMatrixMarket:
         path = str(tmp_path / "m.csv")
         write_dense_csv(m, path)
         assert np.array_equal(read_dense_csv(path), m)
+
+
+# -- the index-array pattern against the frozenset pattern it replaced ---------------
+
+Frozen = helpers.FrozensetPattern
+ORACLE = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def outcome(call):
+    """What a call gives: its result, or the exact type and message it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def assert_same(new, old):
+    if isinstance(old, np.ndarray):
+        assert isinstance(new, np.ndarray) and np.array_equal(new, old)
+    else:
+        assert new == old
+
+
+@st.composite
+def patterned_matrices(draw):
+    """(n, pairs, h, rnd): pairs in any orientation and order, repeats allowed;
+    h symmetric, nonzero on every pair and on a random part of the diagonal."""
+    n = draw(st.integers(0, 40))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(i, j) if rnd.random() < 0.5 else (j, i)
+             for i in range(n) for j in range(i + 1, n) if rnd.random() < density]
+    pairs += rnd.sample(pairs, min(len(pairs), rnd.randint(0, 3)))
+    rnd.shuffle(pairs)
+    h = np.zeros((n, n))
+    for i, j in pairs:
+        h[i, j] = h[j, i] = rnd.choice([-1.0, 1.0]) * rnd.uniform(0.5, 10.0)
+    for v in range(n):
+        h[v, v] = rnd.choice([0.0, rnd.uniform(-10.0, 10.0)])
+    return n, pairs, h, rnd
+
+
+class TestFrozensetOracle:
+    @ORACLE
+    @given(patterned_matrices())
+    def test_pattern_graph_compress_recover(self, case):
+        n, pairs, h, _ = case
+        new, old = SparsityPattern.from_pairs(n, pairs), Frozen.from_pairs(n, pairs)
+        assert list(zip(new.rows.tolist(), new.cols.tolist())) == sorted(old.offdiag)
+        dense = SparsityPattern.from_dense(h)
+        assert list(zip(dense.rows.tolist(), dense.cols.tolist())) == sorted(
+            Frozen.from_dense(h).offdiag)
+        g = pattern_to_graph(new)
+        assert g == helpers.frozenset_pattern_to_graph(old)
+        assert all(type(w) is int for a in g.adjacency() for w in a)
+        for order in ("natural", "largest_degree_first"):
+            s = SeedGrouping.from_colouring(g, greedy_rs_colouring(g, order))
+            b = compress(h, s, new)
+            assert np.array_equal(b, helpers.frozenset_compress(h, s, old))
+            out = recover(b, new, s)
+            assert np.array_equal(out, helpers.frozenset_recover(b, old, s))
+            assert np.array_equal(out, h)
+
+    @ORACLE
+    @given(patterned_matrices())
+    def test_same_errors(self, case):
+        n, pairs, h, rnd = case
+        new, old = SparsityPattern.from_pairs(n, pairs), Frozen.from_pairs(n, pairs)
+        g = pattern_to_graph(new)
+        order = rnd.choice(["natural", "largest_degree_first"])
+        s = SeedGrouping.from_colouring(g, greedy_rs_colouring(g, order))
+        listed = {(min(i, j), max(i, j)) for i, j in pairs}
+        free = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in listed]
+        # nonzero entries outside the pattern: the first in row-major order is named
+        stray = h.copy()
+        for i, j in rnd.sample(free, min(len(free), rnd.randint(1, 4))):
+            stray[i, j] = stray[j, i] = rnd.uniform(0.5, 10.0)
+        assert_same(outcome(lambda: compress(stray, s, new)),
+                    outcome(lambda: helpers.frozenset_compress(stray, s, old)))
+        if n >= 2:
+            i, j = rnd.sample(range(n), 2)
+            skew = h.copy()
+            skew[i, j] += 1.0  # values no longer symmetric
+            assert_same(outcome(lambda: compress(skew, s, new)),
+                        outcome(lambda: helpers.frozenset_compress(skew, s, old)))
+            skew[i, j], skew[j, i] = 0.0, 1.0 + abs(h[j, i])  # structure no longer symmetric
+            assert_same(outcome(lambda: SparsityPattern.from_dense(skew)),
+                        outcome(lambda: Frozen.from_dense(skew)))
+        bad = list(pairs)
+        v = rnd.randrange(max(n, 1))
+        bad.insert(rnd.randint(0, len(bad)), rnd.choice([(v, v), (v, n), (-1, v), (n + 2, v)]))
+        assert_same(outcome(lambda: SparsityPattern.from_pairs(n, bad)),
+                    outcome(lambda: Frozen.from_pairs(n, bad)))
+        colours = [rnd.randrange(3) for _ in range(n)]
+        arbitrary = SeedGrouping(Colouring.of(colours, k=3))  # rs or not
+        b = rnd.choice([np.ones((n, 3)), np.ones((n, 2))])
+        assert_same(outcome(lambda: recover(b, new, arbitrary)),
+                    outcome(lambda: helpers.frozenset_recover(b, old, arbitrary)))
