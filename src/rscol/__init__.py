@@ -9,10 +9,7 @@ matrix compression application built on rs colourings.
 from .chordal3rs import (
     ChordalTestResult,
     NotChordalError,
-    TriangleKind,
-    classify_triangle,
     eliminate_triangles,
-    eliminate_type2_triangle,
     test_3rs_chordal,
 )
 from .colouring import (

@@ -1,10 +1,18 @@
-"""O(n^3) 3-rs-colourability tester for chordal graphs.
+"""3-rs-colourability tester for chordal graphs.
 
 A triangle whose three corners are all 3-plus vertices (type I) certifies
 non-colourability.  A triangle with a degree-2 corner (type II) can be
 eliminated: drop the corner and attach two pendants at each remaining corner,
 preserving 3-rs colourability both ways.  Once triangle-free, a connected
 chordal graph is a tree and the tree tester finishes the job.
+
+The paper eliminates one triangle at a time.  No elimination changes another
+triangle's type: it only raises the degrees of the two kept corners (each
+loses one neighbour and gains two pendants), and a degree-2 vertex lies in
+exactly one triangle.  So the triangles are listed once, and either the graph
+has a type-I triangle or every triangle loses its smallest degree-2 corner in
+a single pass.  The cost is one triangle listing plus an O(n + m) rebuild,
+after the O(n + m) chordality test.
 """
 
 from __future__ import annotations
@@ -13,8 +21,7 @@ from dataclasses import dataclass, field
 
 from .graph import (
     Graph,
-    connected_components,
-    induced_subgraph,
+    component_subgraphs,
     is_chordal,
     is_tree,
     list_triangles,
@@ -26,85 +33,52 @@ class NotChordalError(ValueError):
     """Input rejected: the graph is not chordal (distinct from a NO decision)."""
 
 
-@dataclass(frozen=True)
-class TriangleKind:
-    """type I: all three corners are 3-plus; type II carries a degree-2 corner."""
-
-    is_type1: bool
-    low_degree_vertex: int | None = None
-
-
-def classify_triangle(g: Graph, t: tuple[int, int, int]) -> TriangleKind:
-    u, v, w = t
-    if not (g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)):
-        raise ValueError(f"{t} is not a triangle")
-    low = [x for x in sorted(t) if g.degree(x) == 2]
-    if low:
-        return TriangleKind(False, low[0])
-    return TriangleKind(True)
-
-
-def eliminate_type2_triangle(g: Graph, t: tuple[int, int, int], w: int) -> Graph:
-    """Remove the degree-2 corner w of triangle t and attach two pendants at
-    each of the other two corners.
-
-    Dense ids force a renumbering: surviving vertices keep their relative
-    order (indices above w shift down by one) and the four pendants are
-    appended at the end, two at u then two at v (u < v).
-    """
-    if w not in t:
-        raise ValueError(f"vertex {w} is not a corner of {t}")
-    if g.degree(w) != 2:
-        raise ValueError(f"vertex {w} has degree {g.degree(w)}, need 2")
-    u, v = sorted(x for x in t if x != w)
-    if sorted(g.neighbours(w)) != [u, v]:
-        raise ValueError(f"neighbours of {w} are not the other corners of {t}")
-
-    def relabel(x: int) -> int:
-        return x if x < w else x - 1
-
-    edges = [(relabel(a), relabel(b)) for a, b in g.edges() if w not in (a, b)]
-    n = g.n - 1
-    edges += [(relabel(u), n), (relabel(u), n + 1), (relabel(v), n + 2), (relabel(v), n + 3)]
-    return Graph.from_edge_list(n + 4, edges)
-
-
 @dataclass
 class EliminationTrace:
-    """Record of one component's triangle-elimination run."""
+    """Record of one component's triangle elimination."""
 
     final_tree: Graph | None  # None when a type-I triangle stopped the run
     type1_triangle: tuple[int, int, int] | None = None
     eliminations: int = 0
-    triangle_counts: list[int] = field(default_factory=list)
-    intermediates: list[Graph] = field(default_factory=list)
+    triangle_counts: list[int] = field(default_factory=list)  # triangles listed per scan
 
 
-def eliminate_triangles(g: Graph, keep_intermediates: bool = False) -> EliminationTrace:
-    """Run the elimination loop on a connected graph until it is triangle-free
-    or a type-I triangle appears.  Triangles are rescanned after every step
-    because eliminations change degrees."""
-    trace = EliminationTrace(None)
-    current = g
-    while True:
-        triangles = list_triangles(current)
-        trace.triangle_counts.append(len(triangles))
-        if not triangles:
-            trace.final_tree = current
+def eliminate_triangles(g: Graph) -> EliminationTrace:
+    """Eliminate every triangle of a connected graph in one pass, or stop at
+    the first type-I triangle in sorted order.
+
+    The result is the graph the stepwise loop reaches, vertex for vertex: the
+    loop always eliminates the smallest remaining triangle, and renumbering
+    keeps the survivors' order, so survivors keep their original order and
+    the four pendants of each triangle follow in sorted-triangle order, two
+    at the lower kept corner, then two at the higher.
+    """
+    triangles = list_triangles(g)
+    trace = EliminationTrace(None, triangle_counts=[len(triangles)])
+    dropped = []
+    for t in triangles:
+        w = next((x for x in t if g.degree(x) == 2), None)
+        if w is None:
+            trace.type1_triangle = t
             return trace
-        type2: tuple[tuple[int, int, int], int] | None = None
-        for t in triangles:
-            kind = classify_triangle(current, t)
-            if kind.is_type1:
-                trace.type1_triangle = t
-                return trace
-            if type2 is None:
-                type2 = (t, kind.low_degree_vertex)  # lexicographically smallest
-        t, w = type2
-        current = eliminate_type2_triangle(current, t, w)
-        trace.eliminations += 1
-        if keep_intermediates:
-            trace.intermediates.append(current)
+        dropped.append(w)
+    if not triangles:
+        trace.final_tree = g
+        return trace
+    gone = set(dropped)
+    new_id = [-1] * g.n
+    survivors = [v for v in range(g.n) if v not in gone]
+    for i, v in enumerate(survivors):
+        new_id[v] = i
+    edges = [(new_id[u], new_id[v]) for u, v in g.edges() if u not in gone and v not in gone]
+    fresh = len(survivors)
+    for t, w in zip(triangles, dropped):
+        u, v = (new_id[x] for x in t if x != w)
+        edges += [(u, fresh), (u, fresh + 1), (v, fresh + 2), (v, fresh + 3)]
+        fresh += 4
+    trace.final_tree = Graph.from_edge_list(fresh, edges)
+    trace.eliminations = len(triangles)
+    return trace
 
 
 @dataclass
@@ -121,8 +95,7 @@ def test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalTestResult
     if not is_chordal(g):
         raise NotChordalError("input graph is not chordal")
     result = ChordalTestResult(True)
-    for comp in connected_components(g):
-        sub, _ = induced_subgraph(g, comp)
+    for sub, comp in component_subgraphs(g):
         if is_tree(sub):
             tree = sub
         else:
@@ -136,6 +109,10 @@ def test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalTestResult
                 result.component_results.append(None)
                 continue
             tree = trace.final_tree
+            # elimination keeps a component connected; only a cycle of length
+            # four or more (a non-chordal input) survives it
+            if tree.m != tree.n - 1:
+                raise RuntimeError(f"component at {comp[0]} did not reduce to a tree")
         if collect_trees:
             result.final_trees.append(tree)
         tree_result = test_3rs_tree(tree)

@@ -289,9 +289,9 @@ def _cmd_hess_recover(args) -> int:
     compressed = hessian.read_dense_csv(args.compressed)
     pattern_matrix = hessian.read_matrix_market(args.pattern)
     pattern = hessian.SparsityPattern.from_dense(pattern_matrix)
-    g = hessian.pattern_to_graph(pattern)
     groups = colouring.read_colouring_file(args.groups, pattern.n)
-    grouping = hessian.SeedGrouping.from_colouring(g, groups)
+    # recover checks the rs property on the pattern graph
+    grouping = hessian.SeedGrouping(groups)
     recovered = hessian.recover(np.asarray(compressed), pattern, grouping)
     hessian.write_dense_csv(recovered, args.out)
     _emit("OK", f"shape: {recovered.shape[0]}x{recovered.shape[1]}")

@@ -461,12 +461,17 @@ def parse_cnf(lines: Iterable[str], source: str = "<cnf>") -> PositiveCnf:
         if not parts or parts[0] == "c":
             continue
         if parts[0] == "p":
+            if num_vars != -1:
+                raise CnfError(f"{source}:{lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"{source}:{lineno}: expected 'p cnf <vars> <clauses>'")
             try:
                 num_vars, declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise CnfError(f"{source}:{lineno}: non-integer counts") from None
+            if num_vars < 0 or declared < 0:
+                problem = "negative variable count" if num_vars < 0 else "negative clause count"
+                raise CnfError(f"{source}:{lineno}: {problem}")
             continue
         if num_vars == -1:
             raise CnfError(f"{source}:{lineno}: clause before problem line")

@@ -201,6 +201,24 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     return Graph.from_edge_list(len(old_ids), edges), old_ids
 
 
+def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
+    """``induced_subgraph(g, comp)`` for every connected component, in one pass.
+
+    A component holds all neighbours of its vertices, and the dense
+    relabelling is monotone within it, so each relabelled adjacency list is
+    already sorted.
+    """
+    comps = connected_components(g)
+    index = [0] * g.n
+    for comp in comps:
+        for i, v in enumerate(comp):
+            index[v] = i
+    return [
+        (Graph(len(comp), [[index[w] for w in g.neighbours(v)] for v in comp]), comp)
+        for comp in comps
+    ]
+
+
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
@@ -294,25 +312,40 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_chordal(g: Graph) -> bool:
-    """Maximum cardinality search + simplicial check for a perfect elimination ordering."""
+    """Maximum cardinality search + simplicial check for a perfect elimination
+    ordering, in O(n + m) (Tarjan & Yannakakis, SIAM J. Comput. 1984)."""
     n = g.n
     if n == 0:
         return True
-    # MCS: number vertices n-1..0, always picking the unnumbered vertex with
-    # the most numbered neighbours.
+    # MCS: number vertices n-1..0, always picking an unnumbered vertex with
+    # the most numbered neighbours.  buckets[k] is a stack of vertices pushed
+    # when their weight became k.  Weights only grow and the highest nonempty
+    # bucket is served first, so a vertex is numbered from its current entry
+    # and its older, lower entries are skipped when popped later.
     weight = [0] * n
-    numbered = [False] * n
+    numbered = bytearray(n)
     order = [0] * n  # order[i] = vertex in position i of the elimination ordering
+    buckets = [list(range(n - 1, -1, -1))]
+    top = 0
     for pos in range(n - 1, -1, -1):
-        best, best_w = -1, -1
-        for v in range(n):
-            if not numbered[v] and weight[v] > best_w:
-                best, best_w = v, weight[v]
-        numbered[best] = True
-        order[pos] = best
-        for w in g.neighbours(best):
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            v = bucket.pop()
+            if not numbered[v]:
+                break
+        numbered[v] = 1
+        order[pos] = v
+        for w in g.neighbours(v):
             if not numbered[w]:
-                weight[w] += 1
+                k = weight[w] = weight[w] + 1
+                if k == len(buckets):
+                    buckets.append([])
+                buckets[k].append(w)
+                if k > top:
+                    top = k
     position = [0] * n
     for i, v in enumerate(order):
         position[v] = i

@@ -9,13 +9,24 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+from hypothesis import strategies as st
 
+from rscol.chordal3rs import ChordalTestResult, NotChordalError
 from rscol.colouring import Colouring, is_ordered, is_rs
-from rscol.graph import Edge, Graph, GraphError
+from rscol.graph import (
+    Edge,
+    Graph,
+    GraphError,
+    connected_components,
+    induced_subgraph,
+    is_chordal,
+    is_tree,
+    list_triangles,
+)
 from rscol.hessian import PatternError, SeedGrouping
 from rscol.solver import (
     DEFAULT_BUDGET,
@@ -25,6 +36,7 @@ from rscol.solver import (
     _BudgetHit,
     _Search,
 )
+from rscol.tree3rs import test_3rs_tree
 
 # -- named instances ---------------------------------------------------------
 
@@ -336,6 +348,35 @@ def random_connected_chordal(n: int, rng: random.Random) -> Graph:
     return Graph.from_edge_list(n, [(u, w) for u in adj for w in adj[u] if u < w])
 
 
+@st.composite
+def chordal_graphs(draw, max_n: int = 40, max_components: int = 1) -> Graph:
+    """Chordal graphs on 1..max_n vertices with up to `max_components`
+    components, vertices shuffled so the components interleave.
+
+    Each component grows by simplicial-vertex addition: a new vertex joins a
+    clique inside an earlier vertex's closed neighbourhood.  Cliques of one
+    and two vertices (a tree edge, an ear) are drawn most often, so that many
+    instances carry type-II triangles only.
+    """
+    n = draw(st.integers(1, max_n))
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=max_components - 1)) if n > 1 else set()
+    adj: list[set[int]] = [set() for _ in range(n)]
+    bounds = [0, *sorted(cuts), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        for v in range(lo + 1, hi):
+            u = draw(st.integers(lo, v - 1))
+            size = draw(st.sampled_from([2, 1, 2, 1, 3, 4]))
+            clique = {u}
+            for w in sorted(adj[u]):
+                if len(clique) < size and draw(st.booleans()) and clique <= adj[w]:
+                    clique.add(w)
+            for x in clique:
+                adj[v].add(x)
+                adj[x].add(v)
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edge_list(n, [(perm[u], perm[w]) for u in range(n) for w in adj[u] if u < w])
+
+
 def random_cobipartite(n: int, rng: random.Random):
     """Two cliques with random cross edges; returns (graph, side_a, side_b)."""
     na = rng.randint(1, n - 1)
@@ -572,3 +613,122 @@ def frozenset_recover(b: np.ndarray, p: FrozensetPattern, s: SeedGrouping) -> np
         out[i, j] = value
         out[j, i] = value
     return out
+
+
+# -- stepwise triangle elimination oracle ---------------------------------------------
+# The paper's elimination loop as it was before the one-pass reduction: one
+# triangle at a time, rebuilding the graph and rescanning every triangle after
+# each step, with one induced_subgraph call per component.
+
+
+@dataclass(frozen=True)
+class TriangleKind:
+    """type I: all three corners are 3-plus; type II carries a degree-2 corner."""
+
+    is_type1: bool
+    low_degree_vertex: int | None = None
+
+
+def classify_triangle(g: Graph, t: tuple[int, int, int]) -> TriangleKind:
+    u, v, w = t
+    if not (g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)):
+        raise ValueError(f"{t} is not a triangle")
+    low = [x for x in sorted(t) if g.degree(x) == 2]
+    if low:
+        return TriangleKind(False, low[0])
+    return TriangleKind(True)
+
+
+def eliminate_type2_triangle(g: Graph, t: tuple[int, int, int], w: int) -> Graph:
+    """Remove the degree-2 corner w of triangle t and attach two pendants at
+    each of the other two corners.
+
+    Dense ids force a renumbering: surviving vertices keep their relative
+    order (indices above w shift down by one) and the four pendants are
+    appended at the end, two at u then two at v (u < v).
+    """
+    if w not in t:
+        raise ValueError(f"vertex {w} is not a corner of {t}")
+    if g.degree(w) != 2:
+        raise ValueError(f"vertex {w} has degree {g.degree(w)}, need 2")
+    u, v = sorted(x for x in t if x != w)
+    if sorted(g.neighbours(w)) != [u, v]:
+        raise ValueError(f"neighbours of {w} are not the other corners of {t}")
+
+    def relabel(x: int) -> int:
+        return x if x < w else x - 1
+
+    edges = [(relabel(a), relabel(b)) for a, b in g.edges() if w not in (a, b)]
+    n = g.n - 1
+    edges += [(relabel(u), n), (relabel(u), n + 1), (relabel(v), n + 2), (relabel(v), n + 3)]
+    return Graph.from_edge_list(n + 4, edges)
+
+
+@dataclass
+class StepwiseTrace:
+    """Record of one component's triangle-elimination run."""
+
+    final_tree: Graph | None  # None when a type-I triangle stopped the run
+    type1_triangle: tuple[int, int, int] | None = None
+    eliminations: int = 0
+    triangle_counts: list[int] = field(default_factory=list)
+    intermediates: list[Graph] = field(default_factory=list)
+
+
+def stepwise_eliminate_triangles(g: Graph, keep_intermediates: bool = False) -> StepwiseTrace:
+    """Run the elimination loop on a connected graph until it is triangle-free
+    or a type-I triangle appears.  Triangles are rescanned after every step
+    because eliminations change degrees."""
+    trace = StepwiseTrace(None)
+    current = g
+    while True:
+        triangles = list_triangles(current)
+        trace.triangle_counts.append(len(triangles))
+        if not triangles:
+            trace.final_tree = current
+            return trace
+        type2: tuple[tuple[int, int, int], int] | None = None
+        for t in triangles:
+            kind = classify_triangle(current, t)
+            if kind.is_type1:
+                trace.type1_triangle = t
+                return trace
+            if type2 is None:
+                type2 = (t, kind.low_degree_vertex)  # lexicographically smallest
+        t, w = type2
+        current = eliminate_type2_triangle(current, t, w)
+        trace.eliminations += 1
+        if keep_intermediates:
+            trace.intermediates.append(current)
+
+
+def stepwise_test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalTestResult:
+    """Decide 3-rs colourability of a chordal graph; decision is the AND over
+    connected components.  Non-chordal input raises NotChordalError."""
+    if not is_chordal(g):
+        raise NotChordalError("input graph is not chordal")
+    result = ChordalTestResult(True)
+    for comp in connected_components(g):
+        sub, _ = induced_subgraph(g, comp)
+        if is_tree(sub):
+            tree = sub
+        else:
+            trace = stepwise_eliminate_triangles(sub)
+            if trace.type1_triangle is not None:
+                result.colourable = False
+                if result.reason is None:
+                    result.reason = (
+                        f"type-I triangle {trace.type1_triangle} in component at {comp[0]}"
+                    )
+                result.component_results.append(None)
+                continue
+            tree = trace.final_tree
+        if collect_trees:
+            result.final_trees.append(tree)
+        tree_result = test_3rs_tree(tree)
+        result.component_results.append(tree_result)
+        if not tree_result.colourable:
+            result.colourable = False
+            if result.reason is None:
+                result.reason = f"component at {comp[0]}: {tree_result.reason_text()}"
+    return result

@@ -1,12 +1,12 @@
+import time
+
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import helpers
-from rscol.chordal3rs import (
-    NotChordalError,
-    classify_triangle,
-    eliminate_triangles,
-    eliminate_type2_triangle,
-)
+from helpers import classify_triangle, eliminate_type2_triangle
+from rscol import chordal3rs
+from rscol.chordal3rs import NotChordalError, eliminate_triangles
 from rscol.chordal3rs import test_3rs_chordal as run_chordal_test
 from rscol.graph import (
     Graph,
@@ -60,7 +60,7 @@ class TestEliminateType2:
             7,
             [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5), (4, 6), (5, 6)],
         )
-        trace = eliminate_triangles(g)
+        trace = helpers.stepwise_eliminate_triangles(g)
         assert trace.type1_triangle is None
         assert trace.eliminations == 2
         tree = trace.final_tree
@@ -85,14 +85,14 @@ class TestEliminationLoop:
     def test_triangle_count_strictly_decreases(self, rng):
         for _ in range(30):
             g = helpers.random_connected_chordal(rng.randint(3, 9), rng)
-            trace = eliminate_triangles(g)
+            trace = helpers.stepwise_eliminate_triangles(g)
             counts = trace.triangle_counts
             assert all(a > b for a, b in zip(counts, counts[1:]))
 
     def test_intermediates_stay_chordal(self, rng):
         for _ in range(15):
             g = helpers.random_connected_chordal(rng.randint(3, 8), rng)
-            trace = eliminate_triangles(g, keep_intermediates=True)
+            trace = helpers.stepwise_eliminate_triangles(g, keep_intermediates=True)
             for step in trace.intermediates:
                 assert is_chordal(step)
 
@@ -100,7 +100,7 @@ class TestEliminationLoop:
         for _ in range(30):
             g = helpers.random_connected_chordal(rng.randint(3, 9), rng)
             t0 = len(list_triangles(g))
-            trace = eliminate_triangles(g)
+            trace = helpers.stepwise_eliminate_triangles(g)
             if trace.final_tree is None:
                 continue
             assert trace.eliminations <= t0
@@ -147,3 +147,94 @@ class TestChordalTester:
             result = run_chordal_test(g, collect_trees=True)
             for tree in result.final_trees:
                 assert is_tree(tree)
+
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+def tree_outcomes(result):
+    return [r and (r.colourable, r.reason, r.reason_vertex, r.visited)
+            for r in result.component_results]
+
+
+class TestOnePassAgainstStepwise:
+    @DIFFERENTIAL
+    @given(helpers.chordal_graphs())
+    def test_eliminate_triangles(self, g):
+        fast = eliminate_triangles(g)
+        slow = helpers.stepwise_eliminate_triangles(g)
+        assert fast.type1_triangle == slow.type1_triangle
+        assert fast.final_tree == slow.final_tree
+        assert fast.eliminations == slow.eliminations
+        assert fast.triangle_counts == slow.triangle_counts[:1]
+
+    @DIFFERENTIAL
+    @given(helpers.chordal_graphs(max_components=5))
+    def test_chordal_tester(self, g):
+        fast = run_chordal_test(g, collect_trees=True)
+        slow = helpers.stepwise_test_3rs_chordal(g, collect_trees=True)
+        assert fast.colourable == slow.colourable
+        assert fast.reason == slow.reason
+        assert fast.final_trees == slow.final_trees
+        assert tree_outcomes(fast) == tree_outcomes(slow)
+
+    def test_pendant_numbering(self):
+        # ears 3 and 4 on the path 5-0-1-2-6: survivors 0, 1, 2, 5, 6 become
+        # 0..4, then come the pendants of (0, 1, 3) and of (1, 2, 4)
+        g = Graph.from_edge_list(
+            7, [(0, 1), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 6)]
+        )
+        trace = eliminate_triangles(g)
+        assert trace.eliminations == 2 and trace.triangle_counts == [2]
+        pendants = [(0, 5), (0, 6), (1, 7), (1, 8), (1, 9), (1, 10), (2, 11), (2, 12)]
+        assert trace.final_tree == Graph.from_edge_list(
+            13, [(0, 1), (1, 2), (0, 3), (2, 4)] + pendants
+        )
+
+    def test_type1_triangle_stops_before_any_elimination(self):
+        # an ear (0, 1, 5) sorts before the type-I triangle (1, 2, 3)
+        g = Graph.from_edge_list(
+            7, [(0, 1), (0, 5), (1, 5), (1, 2), (1, 3), (2, 3), (2, 4), (3, 6)]
+        )
+        trace = eliminate_triangles(g)
+        assert trace.type1_triangle == (1, 2, 3)
+        assert trace.final_tree is None and trace.eliminations == 0
+
+    def test_non_chordal_component_raises_without_assert(self, monkeypatch):
+        # a 4-cycle with an ear on one edge: elimination removes the ear and
+        # leaves the cycle, which the tester must report even under python -O
+        monkeypatch.setattr(chordal3rs, "is_chordal", lambda g: True)
+        g = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
+        with pytest.raises(RuntimeError, match="did not reduce to a tree"):
+            run_chordal_test(g)
+
+
+class TestManyComponents:
+    def test_2000_components_in_one_pass(self):
+        # vertex i of component c becomes i * count + c (then ids are made
+        # dense), so the components interleave and each one relabels to its
+        # part; component c has minimum vertex c
+        count = 2000
+        k4_pendant = Graph.from_edge_list(
+            5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
+        )
+        parts = [helpers.dart()] * count
+        parts[1500] = k4_pendant
+        parts[1700] = helpers.worked_tree()
+        edges = [(i * count + c, j * count + c)
+                 for c, part in enumerate(parts) for i, j in part.edges()]
+        ids = sorted({v for e in edges for v in e})
+        index = {v: i for i, v in enumerate(ids)}
+        g = Graph.from_edge_list(len(ids), [(index[u], index[v]) for u, v in edges])
+
+        start = time.perf_counter()
+        result = run_chordal_test(g, collect_trees=True)
+        elapsed = time.perf_counter() - start
+
+        expected = [helpers.stepwise_test_3rs_chordal(part, collect_trees=True) for part in parts]
+        assert not result.colourable
+        assert result.reason == expected[1500].reason.replace("at 0", "at 1500")
+        assert result.final_trees == [t for e in expected for t in e.final_trees]
+        assert tree_outcomes(result) == [o for e in expected for o in tree_outcomes(e)]
+        assert elapsed < 1.0

@@ -264,6 +264,21 @@ class TestHessianCommands:
         original = read_matrix_market(str(workdir / "h.mtx"))
         assert np.abs(read_dense_csv(str(rec)) - original).max() <= 1e-12
 
+    def test_recover_rejects_non_rs_groups(self, workdir, capsys):
+        # on the path behind h.mtx, 1-0-1 is a bicoloured path with a low middle
+        groups = workdir / "bad_groups.col"
+        write_colouring_file(Colouring.of([1, 0, 1, 0, 1], k=2), str(groups))
+        b_csv = workdir / "b.csv"
+        b_csv.write_text("1.0,0.5\n" * 5)
+        rec = workdir / "rec.csv"
+        code, token, out = run_cli(
+            capsys, "hess-recover", "--compressed", b_csv, "--pattern", workdir / "h.mtx",
+            "--groups", groups, "-o", rec,
+        )
+        assert (code, token) == (2, "ERROR")
+        assert " rs " in out.splitlines()[1]
+        assert not rec.exists()
+
     def test_ldf_order(self, workdir, capsys):
         code, token, _ = run_cli(
             capsys, "hess-compress", "-m", workdir / "h.mtx", "--order", "ldf",

@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 
 import pytest
 
@@ -272,6 +273,17 @@ class TestCnfFormat:
     def test_rejects_missing_terminator(self):
         with pytest.raises(CnfError, match="end with 0"):
             parse_cnf(io.StringIO("p cnf 3 1\n1 2 3\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 3 1\n1 2 3 0\np cnf 6 1\n", "f:3: duplicate problem line"),
+        ("p cnf 3 0\np cnf 3 0\n", "f:2: duplicate problem line"),
+        ("p cnf -1 1\n1 2 3 0\n", "f:1: negative variable count"),
+        ("p cnf -3 0\n", "f:1: negative variable count"),
+        ("c note\np cnf 3 -1\n", "f:2: negative clause count"),
+    ])
+    def test_rejects_bad_problem_line_at_its_line(self, text, message):
+        with pytest.raises(CnfError, match=f"^{re.escape(message)}$"):
+            parse_cnf(io.StringIO(text), "f")
 
 
 class TestEdgeBlowup:

@@ -1,7 +1,11 @@
 import io
 import math
+import random
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from rscol.graph import (
@@ -9,10 +13,12 @@ from rscol.graph import (
     GraphError,
     attach_pendants,
     complete_graph,
+    component_subgraphs,
     connected_components,
     cycle_graph,
     format_graph,
     girth,
+    induced_subgraph,
     is_bipartite,
     is_chordal,
     is_tree,
@@ -78,6 +84,14 @@ class TestDegreeAndTrees:
     def test_components(self):
         g = Graph.from_edge_list(5, [(0, 1), (3, 4)])
         assert connected_components(g) == [[0, 1], [2], [3, 4]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 30), st.floats(0, 0.3), st.integers(0, 2**32 - 1))
+    def test_component_subgraphs_match_induced_subgraphs(self, n, p, seed):
+        g = helpers.random_graph(n, p, random.Random(seed))
+        split = component_subgraphs(g)
+        assert split == [induced_subgraph(g, comp) for comp in connected_components(g)]
+        assert all(type(w) is int for sub, _ in split for a in sub.adjacency() for w in a)
 
 
 class TestGirth:
@@ -149,6 +163,15 @@ class TestBipartite:
         assert is_bipartite(gg.graph)
 
 
+def as_networkx(g: Graph) -> nx.Graph:
+    out = nx.empty_graph(g.n)
+    out.add_edges_from(g.edges())
+    return out
+
+
+CHORDAL = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
 class TestChordal:
     def test_dart_and_c4(self):
         assert is_chordal(helpers.dart())
@@ -162,6 +185,25 @@ class TestChordal:
         for _ in range(80):
             g = helpers.random_graph(rng.randint(1, 8), 0.4, rng)
             assert is_chordal(g) == helpers.brute_is_chordal(g), list(g.edges())
+
+    @CHORDAL
+    @given(helpers.chordal_graphs(max_components=3), st.integers(0, 2**32 - 1))
+    def test_against_networkx_near_misses(self, g, pick):
+        # the chordal graph itself, then with one extra edge, which often
+        # closes an induced cycle of length four or more
+        missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        assert is_chordal(g)
+        if missing:
+            g = Graph.from_edge_list(g.n, [*g.edges(), missing[pick % len(missing)]])
+        assert is_chordal(g) == nx.is_chordal(as_networkx(g))
+        if g.n <= 9:
+            assert is_chordal(g) == helpers.brute_is_chordal(g)
+
+    @CHORDAL
+    @given(st.integers(0, 30), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_against_networkx_random(self, n, p, seed):
+        g = helpers.random_graph(n, p, random.Random(seed))
+        assert is_chordal(g) == nx.is_chordal(as_networkx(g))
 
 
 class TestRooting:
