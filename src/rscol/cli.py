@@ -276,7 +276,8 @@ def _cmd_hess_compress(args) -> int:
     pattern = hessian.SparsityPattern.from_dense(matrix)
     g = hessian.pattern_to_graph(pattern)
     grouping_colouring = hessian.greedy_rs_colouring(g, order=args.order)
-    grouping = hessian.SeedGrouping.from_colouring(g, grouping_colouring)
+    # greedy_rs_colouring raises unless its result is rs
+    grouping = hessian.SeedGrouping(grouping_colouring)
     compressed = hessian.compress(matrix, grouping, pattern)
     hessian.write_dense_csv(compressed, args.out)
     if args.groups:
@@ -330,7 +331,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dot")
     p.set_defaults(handler=_cmd_tree3rs)
 
-    p = sub.add_parser("chordal3rs", help="cubic-time 3-rs test for chordal graphs")
+    p = sub.add_parser("chordal3rs", help="3-rs test for chordal graphs by triangle elimination")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--dump-tree")
     p.add_argument("--dot")

@@ -157,10 +157,6 @@ def from_edge_list(n: int, edges: Iterable[Edge] | np.ndarray) -> Graph:
     return Graph.from_edge_list(n, edges)
 
 
-def degree(g: Graph, v: VertexId) -> int:
-    return g.degree(v)
-
-
 # -- connectivity ----------------------------------------------------------
 
 

@@ -4,7 +4,10 @@ An rs colouring guarantees direct recovery: every vertex has at most one
 neighbour in each lower colour class, so each off-diagonal entry can be read
 from the row of its higher-coloured endpoint in the compressed product.
 The pattern is held as index arrays, so compress and recover handle every
-entry in numpy operations rather than in a Python loop.
+entry in numpy operations rather than in a Python loop.  Matrices are written
+as dense CSV, one row per line and each cell the ``repr`` of its float64; only
+the nonzero cells are formatted, so the writer's Python work grows with the
+nonzero count, not with n².
 """
 
 from __future__ import annotations
@@ -291,8 +294,30 @@ def read_matrix_market(path: str) -> np.ndarray:
 
 
 def write_dense_csv(matrix: np.ndarray, path_or_file: str | IO[str]) -> None:
-    a = np.asarray(matrix, dtype=float)
-    write_text("\n".join(",".join(repr(float(x)) for x in row) for row in a) + "\n", path_or_file)
+    """One line per row, each cell the ``repr`` of its float64 value.
+
+    The text starts as the all-zero matrix, where every cell takes four
+    characters (``0.0,`` or ``0.0`` and the newline).  Only the cells whose
+    bits are not all zero are formatted, so ``-0.0`` keeps its sign; each is
+    spliced in at four times its flat index.
+    """
+    a = np.ascontiguousarray(matrix, dtype=float)
+    if a.ndim != 2:
+        raise PatternError(f"need a 2-D matrix, got shape {a.shape}")
+    # a matrix with no rows is written as one empty line
+    zeros = (",".join(["0.0"] * a.shape[1]) + "\n") * a.shape[0] or "\n"
+    flat = a.ravel()
+    nonzero = np.flatnonzero(flat.view(np.int64))
+    starts = 4 * nonzero
+    pieces = [None] * (2 * len(nonzero) + 1)
+    pieces[::2] = [zeros[lo:hi] for lo, hi in zip([0, *(starts + 3).tolist()],
+                                                  [*starts.tolist(), len(zeros)])]
+    pieces[1::2] = map(repr, flat[nonzero].tolist())
+    # free each stage before the next, so that at most two copies of the text are alive
+    del zeros
+    text = "".join(pieces)
+    del pieces
+    write_text(text, path_or_file)
 
 
 def read_dense_csv(path: str) -> np.ndarray:

@@ -10,7 +10,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import IO, Iterable
 
 import numpy as np
 from hypothesis import strategies as st
@@ -26,6 +26,7 @@ from rscol.graph import (
     is_chordal,
     is_tree,
     list_triangles,
+    write_text,
 )
 from rscol.hessian import PatternError, SeedGrouping
 from rscol.solver import (
@@ -613,6 +614,16 @@ def frozenset_recover(b: np.ndarray, p: FrozensetPattern, s: SeedGrouping) -> np
         out[i, j] = value
         out[j, i] = value
     return out
+
+
+# -- dense CSV writer oracle ---------------------------------------------------------
+# The writer as it was before it formatted only the nonzero cells: repr of
+# every cell in a Python loop.
+
+
+def repr_dense_csv(matrix: np.ndarray, path_or_file: str | IO[str]) -> None:
+    a = np.asarray(matrix, dtype=float)
+    write_text("\n".join(",".join(repr(float(x)) for x in row) for row in a) + "\n", path_or_file)
 
 
 # -- stepwise triangle elimination oracle ---------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import re
 
@@ -383,3 +384,153 @@ class TestFrozensetOracle:
         b = rnd.choice([np.ones((n, 3)), np.ones((n, 2))])
         assert_same(outcome(lambda: recover(b, new, arbitrary)),
                     outcome(lambda: helpers.frozenset_recover(b, old, arbitrary)))
+
+
+# -- the dense CSV writer against the repr-per-cell writer it replaced ---------------
+
+WRITER = settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+SPECIAL_CELLS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.2250738585072014e-308 / 3, 1e16, 1 / 3, -1.5, 1.0, 123456789.0]
+
+
+@st.composite
+def csv_matrices(draw):
+    """2-D arrays with cells from the special values, arbitrary float64 bit patterns
+    and hypothesis floats; C or Fortran order, a strided slice, float32 or integer."""
+    shape = (draw(st.integers(0, 30)), draw(st.integers(0, 30)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.2, 0.7, 1.0]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(SPECIAL_CELLS + draw(st.lists(st.floats(width=64), max_size=8)))
+    a = pool[gen.integers(0, len(pool), shape)]
+    bits = gen.integers(-2**63, 2**63 - 1, shape, dtype=np.int64, endpoint=True).view(float)
+    a = np.where(gen.random(shape) < 0.2, bits, a)
+    a[gen.random(shape) >= density] = 0.0
+    layout = draw(st.sampled_from(["C", "F", "slice", "float32", "int"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "slice":
+        big = gen.standard_normal((2 * shape[0], 2 * shape[1] + 1))
+        big[::2, 1::2] = a
+        return big[::2, 1::2]
+    if layout == "float32":
+        with np.errstate(all="ignore"):
+            return a.astype(np.float32)
+    if layout == "int":
+        whole = gen.integers(-2**62, 2**62, shape, dtype=np.int64)
+        return np.where(a != 0, whole, 0)
+    return a
+
+
+def oracle_csv(matrix) -> str:
+    out = io.StringIO()
+    helpers.repr_dense_csv(matrix, out)
+    return out.getvalue()
+
+
+class TestDenseCsvWriter:
+    @WRITER
+    @given(csv_matrices(), st.booleans())
+    def test_same_text_as_repr_per_cell(self, tmp_path, matrix, to_path):
+        path = str(tmp_path / "m.csv")
+        if to_path:
+            write_dense_csv(matrix, path)
+        else:
+            with open(path, "w") as fh:
+                write_dense_csv(matrix, fh)
+                assert not fh.closed
+        with open(path) as fh:
+            assert fh.read() == oracle_csv(matrix)
+
+    @WRITER
+    @given(csv_matrices())
+    def test_read_back_keeps_every_bit(self, tmp_path, matrix):
+        a = np.asarray(matrix, dtype=float)
+        if 0 in a.shape:
+            return  # no nonblank line: read_dense_csv gives shape (0,)
+        path = str(tmp_path / "m.csv")
+        write_dense_csv(matrix, path)
+        back = read_dense_csv(path)
+        assert back.shape == a.shape
+        nan = np.isnan(a)
+        assert np.array_equal(np.isnan(back), nan)  # repr drops NaN sign and payload
+        assert np.array_equal(back.view(np.int64)[~nan], a.view(np.int64)[~nan])
+
+    def test_special_cells_spelled_by_repr(self):
+        out = io.StringIO()
+        write_dense_csv(np.array([[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324]]), out)
+        assert out.getvalue() == "0.0,-0.0,nan\ninf,-inf,5e-324\n"
+
+    @pytest.mark.parametrize("shape, text", [((0, 0), "\n"), ((0, 3), "\n"), ((2, 0), "\n\n")])
+    def test_empty_shapes(self, shape, text):
+        out = io.StringIO()
+        write_dense_csv(np.zeros(shape), out)
+        assert out.getvalue() == text == oracle_csv(np.zeros(shape))
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(PatternError, match=r"need a 2-D matrix, got shape \(3,\)"):
+            write_dense_csv(np.zeros(3), io.StringIO())
+
+
+# -- the dense CSV reader on malformed text ----------------------------------------------
+
+NUMBER_TOKENS = st.one_of(st.floats().map(repr), st.integers(-99, 99).map(str),
+                          st.sampled_from([" 2 ", "1_0", "1e3", "-Infinity", "nan"]))
+CSV_TOKENS = st.one_of(
+    NUMBER_TOKENS,
+    st.sampled_from(["", " ", "x", "1.0.0", "--1", "1e", "e5", "0x1p3"]),
+    st.text(alphabet="0123456789.-+eE xn_", max_size=6),
+)
+
+
+@st.composite
+def malformed_csv_text(draw):
+    """Rows of up to five tokens with ragged lengths, empty fields, trailing commas,
+    non-numeric tokens and blank lines between rows; in half the cases every
+    token is a number, so that ragged rows and well-formed files are reached."""
+    numbers_only = draw(st.booleans())
+    tokens = NUMBER_TOKENS if numbers_only else CSV_TOKENS
+    ends = [""] if numbers_only else ["", "", ",", ", "]
+    width = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.sampled_from([width, width, width, 0, width - 1, width + 1]))
+        lines.append(",".join(draw(st.lists(tokens, min_size=size, max_size=size)))
+                     + draw(st.sampled_from(ends)))
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def float_parsed_rows(text: str, path: str):
+    """The rows of `text` parsed with float, or the PatternError message that
+    names the first bad line."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            return f"{path}:{lineno}: non-numeric field"
+        if rows and len(row) != len(rows[0]):
+            return f"{path}:{lineno}: expected {len(rows[0])} fields"
+        rows.append(row)
+    return rows
+
+
+class TestDenseCsvReaderFuzz:
+    @WRITER
+    @given(malformed_csv_text())
+    def test_pattern_error_or_float_rows(self, tmp_path, text):
+        path = tmp_path / "b.csv"
+        path.write_text(text)
+        expected = float_parsed_rows(text, str(path))
+        try:
+            got = read_dense_csv(str(path))
+        except PatternError as exc:  # any other error, IndexError or bare ValueError, fails
+            assert str(exc) == expected
+        else:
+            assert not isinstance(expected, str), expected
+            want = np.array(expected)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
