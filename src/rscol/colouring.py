@@ -100,12 +100,14 @@ def find_rs_violation(g: Graph, c: Colouring) -> tuple[int, ...] | None:
     """First violating path x,y,z with c(y) > c(x) = c(z), else a monochromatic
     edge (u, v) when the colouring is merely improper, else None."""
     _check_domain(g, c)
+    colours = c.colours
+    off, tgt = g.offsets, g.targets
     # scan middles: y with two equal-coloured lower neighbours
     for y in range(g.n):
-        cy = c[y]
+        cy = colours[y]
         seen: dict[int, int] = {}
-        for x in g.neighbours(y):
-            cx = c[x]
+        for x in tgt[off[y]:off[y + 1]]:
+            cx = colours[x]
             if cx < cy:
                 if cx in seen:
                     return (seen[cx], y, x)

@@ -1,35 +1,40 @@
 """Undirected simple graphs and the structural queries the colouring algorithms need.
 
-Vertices are dense 0-based integers.  Graphs are immutable after construction;
-every operation that "modifies" a graph returns a new one.
+Vertices are dense 0-based integers.  A graph is held as a CSR: ``offsets``
+(n + 1 ints) and one flat ``targets`` list (2m ints), where the neighbours of
+v are ``targets[offsets[v]:offsets[v + 1]]`` in ascending order.  Both are
+plain lists of Python ints, so hot loops index them directly and no
+per-vertex list objects exist; ``neighbours(v)`` returns a fresh slice for
+everything else.  Graphs are immutable after construction; every operation
+that "modifies" a graph returns a new one.
 
-Graph files (``parse_graph``) have one record per line: ``p edge <n> <m>``
-once, then ``e <u> <v>`` per edge with 1-based endpoints.  A line whose first
+Graph files (``read_graph_file``, ``parse_graph``) have one record per line:
+``p edge <n> <m>`` once, then ``e <u> <v>`` per edge with 1-based endpoints.
+Lines break at ``\\n``, ``\\r\\n`` and ``\\r``, as in a file read in text
+mode; inside a line any whitespace separates tokens.  A line whose first
 token is exactly ``c`` is a comment; blank lines are skipped.  Endpoints are
-read as ``int()`` reads them.  A negative count, an endpoint outside 1..n, a
-self-loop, an edge listed twice (in either orientation), any other malformed
-line and a wrong edge count are errors that name ``source:line``; the first
-bad line in file order is reported.
+read as ``int()`` reads them.  Bytes that are not UTF-8, a negative count, an
+endpoint outside 1..n, a self-loop, an edge listed twice (in either
+orientation), any other malformed line and a wrong edge count are errors that
+name ``source:line``; the first bad line in file order is reported.
 
-Ingest has two paths that give the same graph, sorted lists of Python ints:
-
-* files with fewer than ``BULK_MIN_EDGES`` edge lines are checked line by
-  line and built from a list of pairs, one set per vertex;
-* larger files convert all endpoints in one numpy call, check them with array
-  masks and build the adjacency as a CSR (``Graph.from_edge_list`` on an
-  ``(m, 2)`` array).  If any check fails, the line-by-line check runs instead
-  to find the first bad line.
-
-The cutoff is by edge count because the numpy path costs tens of microseconds
-more per file, which matters on many small files and not on one large one.
+Ingest reads the whole text, tokenises the edge lines in one ``str.split``,
+converts all endpoints in one numpy call (by ``int()`` below
+``BULK_MIN_EDGES`` edge lines, where numpy's fixed cost dominates) and builds
+the CSR through ``Graph.from_edge_list``, which checks them.  A file this
+fast path does not take is read again line by line: with comment or blank
+lines among its edge lines it is still converted and built in bulk, and
+otherwise the line scanner names the first bad line.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import accumulate, pairwise
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -38,8 +43,9 @@ VertexId = int
 Edge = tuple[int, int]
 
 
-BULK_MIN_EDGES = 1024
-"""Graph files with at least this many edge lines take the numpy ingest path."""
+BULK_MIN_EDGES = 32
+"""Graph files with at least this many edge lines have their endpoints
+converted by numpy; below it ``int()`` is faster."""
 
 
 class GraphError(ValueError):
@@ -47,18 +53,19 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph with sorted adjacency lists.
+    """Simple undirected graph in CSR form.
 
-    Invariants: no self-loops, no parallel edges, adjacency symmetric,
-    each adjacency list sorted ascending.
+    Invariants: no self-loops, no parallel edges, adjacency symmetric, each
+    run ``targets[offsets[v]:offsets[v + 1]]`` sorted ascending.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "offsets", "targets")
 
-    def __init__(self, n: int, adj: list[list[int]]):
-        # internal constructor, assumes adj already validated/sorted
+    def __init__(self, n: int, offsets: list[int], targets: list[int]):
+        # internal constructor, assumes the CSR already validated/sorted
         self.n = n
-        self._adj = adj
+        self.offsets = offsets
+        self.targets = targets
 
     # -- construction ------------------------------------------------------
 
@@ -66,72 +73,81 @@ class Graph:
     def from_edge_list(n: int, edges: Iterable[Edge] | np.ndarray) -> Graph:
         """Build a graph on vertices 0..n-1 from (possibly duplicated) edges.
 
-        `edges` is an iterable of pairs, or an (m, 2) integer array, which is
-        built in bulk as a CSR.  Either way duplicates merge, the first bad
-        edge in input order is reported, and the adjacency lists hold ints.
+        `edges` is an iterable of pairs, or an (m, 2) integer array.  Either
+        way each edge becomes the keys u*n + v and v*n + u; sorted and without
+        repeats, the keys of vertex u form one contiguous run.  Duplicates
+        merge, and the first bad edge in input order is reported.
         """
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         if isinstance(edges, np.ndarray):
-            return Graph(n, _csr_adjacency(n, edges))
-        adj: list[set[int]] = [set() for _ in range(n)]
+            return _array_csr(n, edges)
+        keys: list[int] = []
+        add = keys.append
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        return Graph(n, [sorted(s) for s in adj])
+            add(u * n + v)
+            add(v * n + u)
+        keys = sorted(set(keys))
+        degrees = [0] * n
+        for key in keys:
+            degrees[key // n] += 1
+        return Graph(n, list(accumulate(degrees, initial=0)), [key % n for key in keys])
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def m(self) -> int:
-        return sum(map(len, self._adj)) // 2
+        return len(self.targets) // 2
 
     def degree(self, v: VertexId) -> int:
-        return len(self._adj[v])
+        return self.offsets[v + 1] - self.offsets[v]
 
-    def neighbours(self, v: VertexId) -> Sequence[VertexId]:
-        return self._adj[v]
+    def neighbours(self, v: VertexId) -> list[VertexId]:
+        """The sorted neighbours of v, as a new list."""
+        return self.targets[self.offsets[v]:self.offsets[v + 1]]
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        a = self._adj[u]
-        if len(self._adj[v]) < len(a):
-            a, v = self._adj[v], u
-        return v in a
+        hi = self.offsets[u + 1]
+        i = bisect_left(self.targets, v, self.offsets[u], hi)
+        return i < hi and self.targets[i] == v
 
     def edges(self) -> Iterator[Edge]:
         """All edges (u, v) with u < v, lexicographically."""
+        off, tgt = self.offsets, self.targets
         for u in range(self.n):
-            for v in self._adj[u]:
+            for v in tgt[off[u]:off[u + 1]]:
                 if u < v:
                     yield (u, v)
 
     def adjacency(self) -> list[list[int]]:
         """Mutable copy of the adjacency lists."""
-        return [list(a) for a in self._adj]
+        tgt = self.targets
+        return [tgt[lo:hi] for lo, hi in pairwise(self.offsets)]
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max((hi - lo for lo, hi in pairwise(self.offsets)), default=0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
+        return (
+            isinstance(other, Graph)
+            and self.n == other.n
+            and self.offsets == other.offsets
+            and self.targets == other.targets
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(tuple(a) for a in self._adj)))
+        return hash((self.n, tuple(self.offsets), tuple(self.targets)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _csr_adjacency(n: int, edges: np.ndarray) -> list[list[int]]:
-    """Sorted adjacency lists of an (m, 2) integer edge array, duplicates merged.
-
-    Each edge is encoded in both directions as u*n + v; after sorting and
-    dropping repeats, the keys of vertex u are one contiguous run.
-    """
+def _array_csr(n: int, edges: np.ndarray) -> Graph:
+    """``Graph.from_edge_list`` on an (m, 2) integer array, sorted in numpy."""
     if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
         raise GraphError(f"edge array must be (m, 2) integers, got {edges.shape} {edges.dtype}")
     u = edges[:, 0].astype(np.int64)
@@ -149,8 +165,7 @@ def _csr_adjacency(n: int, edges: np.ndarray) -> list[list[int]]:
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
     offsets = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
-    flat = (keys % n).tolist()
-    return [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    return Graph(n, offsets, (keys % n).tolist())
 
 
 def from_edge_list(n: int, edges: Iterable[Edge] | np.ndarray) -> Graph:
@@ -162,67 +177,55 @@ def from_edge_list(n: int, edges: Iterable[Edge] | np.ndarray) -> Graph:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, ordered by minimum."""
-    seen = [False] * g.n
+    off, tgt = g.offsets, g.targets
+    seen = bytearray(g.n)
     comps: list[list[int]] = []
     for s in range(g.n):
         if seen[s]:
             continue
+        seen[s] = 1
         comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbours(u):
+        for u in comp:  # comp grows while we iterate: sequential BFS
+            for w in tgt[off[u]:off[u + 1]]:
                 if not seen[w]:
-                    seen[w] = True
+                    seen[w] = 1
                     comp.append(w)
-                    queue.append(w)
         comp.sort()
         comps.append(comp)
     return comps
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph on `vertices`, relabelled densely.
-
-    Returns (subgraph, old_ids) where old_ids[new] = original vertex id.
-    """
-    old_ids = sorted(vertices)
-    index = {v: i for i, v in enumerate(old_ids)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
-    ]
-    return Graph.from_edge_list(len(old_ids), edges), old_ids
-
-
 def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
-    """``induced_subgraph(g, comp)`` for every connected component, in one pass.
+    """The subgraph induced by each connected component, relabelled densely,
+    with its sorted vertex list (``old_ids[new]`` = original vertex id).
 
     A component holds all neighbours of its vertices, and the dense
-    relabelling is monotone within it, so each relabelled adjacency list is
-    already sorted.
+    relabelling is monotone within it, so each relabelled run is already
+    sorted and the component's CSR is read off in one pass.
     """
+    off, tgt = g.offsets, g.targets
     comps = connected_components(g)
     index = [0] * g.n
     for comp in comps:
         for i, v in enumerate(comp):
             index[v] = i
-    return [
-        (Graph(len(comp), [[index[w] for w in g.neighbours(v)] for v in comp]), comp)
-        for comp in comps
-    ]
+    out = []
+    for comp in comps:
+        offsets = list(accumulate((off[v + 1] - off[v] for v in comp), initial=0))
+        targets = [index[w] for v in comp for w in tgt[off[v]:off[v + 1]]]
+        out.append((Graph(len(comp), offsets, targets), comp))
+    return out
 
 
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
+    off, tgt = g.offsets, g.targets
     seen = bytearray(g.n)
     seen[0] = 1
     order = [0]
     for u in order:  # order grows while we iterate: sequential BFS
-        for w in g.neighbours(u):
+        for w in tgt[off[u]:off[u + 1]]:
             if not seen[w]:
                 seen[w] = 1
                 order.append(w)
@@ -270,14 +273,27 @@ def girth(g: Graph) -> int | float:
 
 
 def list_triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """Every 3-clique exactly once as (u, v, w) with u < v < w, sorted."""
+    """Every 3-clique exactly once as (u, v, w) with u < v < w, sorted.
+
+    For each u, its higher neighbours are marked with u; a triangle is then a
+    higher neighbour v of u and a marked higher neighbour w of v.  Runs are
+    sorted, so the triangles come out in lexicographic order.
+    """
+    off, tgt = g.offsets, g.targets
+    mark = [-1] * g.n
     out: list[tuple[int, int, int]] = []
-    neighbour_sets = [set(g.neighbours(v)) for v in range(g.n)]
-    for u, v in g.edges():
-        for w in g.neighbours(u):
-            if w > v and w in neighbour_sets[v]:
-                out.append((u, v, w))
-    out.sort()
+    for u in range(g.n):
+        hi = off[u + 1]
+        higher = tgt[bisect_right(tgt, u, off[u], hi):hi]
+        if len(higher) < 2:
+            continue
+        for v in higher:
+            mark[v] = u
+        for v in higher:
+            vhi = off[v + 1]
+            for w in tgt[bisect_right(tgt, v, off[v], vhi):vhi]:
+                if mark[w] == u:
+                    out.append((u, v, w))
     return out
 
 
@@ -308,8 +324,9 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_chordal(g: Graph) -> bool:
-    """Maximum cardinality search + simplicial check for a perfect elimination
-    ordering, in O(n + m) (Tarjan & Yannakakis, SIAM J. Comput. 1984)."""
+    """Maximum cardinality search in O(n + m), then a check that it gave a
+    perfect elimination ordering (Tarjan & Yannakakis, SIAM J. Comput. 1984),
+    bisecting the sorted neighbour runs."""
     n = g.n
     if n == 0:
         return True
@@ -318,6 +335,7 @@ def is_chordal(g: Graph) -> bool:
     # when their weight became k.  Weights only grow and the highest nonempty
     # bucket is served first, so a vertex is numbered from its current entry
     # and its older, lower entries are skipped when popped later.
+    off, tgt = g.offsets, g.targets
     weight = [0] * n
     numbered = bytearray(n)
     order = [0] * n  # order[i] = vertex in position i of the elimination ordering
@@ -334,7 +352,7 @@ def is_chordal(g: Graph) -> bool:
                 break
         numbered[v] = 1
         order[pos] = v
-        for w in g.neighbours(v):
+        for w in tgt[off[v]:off[v + 1]]:
             if not numbered[w]:
                 k = weight[w] = weight[w] + 1
                 if k == len(buckets):
@@ -345,15 +363,17 @@ def is_chordal(g: Graph) -> bool:
     position = [0] * n
     for i, v in enumerate(order):
         position[v] = i
-    neighbour_sets = [set(g.neighbours(v)) for v in range(n)]
     for i, v in enumerate(order):
-        later = [w for w in g.neighbours(v) if position[w] > i]
+        later = [w for w in tgt[off[v]:off[v + 1]] if position[w] > i]
         if not later:
             continue
         u = min(later, key=lambda w: position[w])
+        lo, hi = off[u], off[u + 1]
         for w in later:
-            if w != u and w not in neighbour_sets[u]:
-                return False
+            if w != u:
+                j = bisect_left(tgt, w, lo, hi)
+                if j == hi or tgt[j] != w:
+                    return False
     return True
 
 
@@ -378,12 +398,13 @@ def root_tree(g: Graph, root: VertexId) -> RootedTree:
     """Root a tree at an arbitrary vertex via BFS (single pass, validates)."""
     if g.n < 1 or g.m != g.n - 1:
         raise GraphError("input graph is not a tree")
+    off, tgt = g.offsets, g.targets
     parent = [-1] * g.n
     seen = bytearray(g.n)
     seen[root] = 1
     order = [root]
     for u in order:
-        for w in g.neighbours(u):
+        for w in tgt[off[u]:off[u + 1]]:
             if not seen[w]:
                 seen[w] = 1
                 parent[w] = u
@@ -480,19 +501,92 @@ def hypercube_graph(d: int) -> Graph:
 # "c <comment>" / "p edge <n> <m>" / "e <u> <v>" with 1-based endpoints.
 
 
-def parse_graph(lines: Iterable[str], source: str = "<graph>") -> Graph:
-    n, declared_m, ends, edge_lines, error = _scan_graph(lines, source)
-    g = _bulk_graph(n, ends) if len(edge_lines) >= BULK_MIN_EDGES else None
-    if g is None:
-        # also finds the first bad edge line of a large file the bulk path refused
-        edges = _edge_pairs(n, ends, edge_lines, source)
+LINE_BREAK = "\0"
+"""The token each line break becomes while the edge lines are tokenised; a file
+that holds this character is read line by line."""
+
+
+def parse_graph(text: str | Iterable[str], source: str = "<graph>") -> Graph:
+    r"""The graph in `text`, a whole file or an iterable of its lines.
+
+    Lines break at ``\n`` only here; ``read_graph_file`` reads ``\r\n`` and
+    ``\r`` as ``\n`` first, as text mode does.
+    """
+    if not isinstance(text, str):
+        text = "".join(text)
+    edge_tokens = _edge_tokens(text)
+    if edge_tokens is not None:
+        g = _edge_graph(*edge_tokens)
+        if g is not None:
+            return g
+    n, declared_m, ends, edge_lines, error = _scan_graph(text.split("\n"), source)
+    if error is None and n != -1 and len(edge_lines) == declared_m:
+        # comment or blank lines among the edge lines, or a bad edge line
+        g = _edge_graph(n, [ends[::2], ends[1::2]])
+        if g is not None:
+            return g
+    edges = _edge_pairs(n, ends, edge_lines, source)  # names the first bad edge line
     if error is not None:
         raise error
     if n == -1:
         raise GraphError(f"{source}: missing problem line")
     if len(edge_lines) != declared_m:
         raise GraphError(f"{source}: declared {declared_m} edges, found {len(edge_lines)}")
-    return g if g is not None else Graph.from_edge_list(n, edges)
+    return Graph.from_edge_list(n, edges)
+
+
+def _edge_tokens(text: str) -> tuple[int, list[list[str]]] | None:
+    r"""(n, [u strings, v strings]) of a file made of comment and blank lines,
+    a valid problem line, then exactly the declared number of lines
+    ``e <u> <v>``; None for any other file.
+
+    One ``str.split`` tokenises all edge lines, with each line break first
+    replaced by the token LINE_BREAK.  Splitting the text as it is would not
+    do: ``str.split`` also splits at whitespace that does not end a line of a
+    file read in text mode, among it ``\x0b \x0c \x1c-\x1e \x85 \u2028
+    \u2029`` (which ``str.splitlines`` would take as line ends), so
+    ``e 1 2\x0ce 3 4``, or ``e 1 2 e`` followed by ``3 4``, would pass a check
+    of three tokens per edge with ``e`` at every third, where the line scanner
+    rejects the line.
+
+    With the breaks kept as tokens, the m lines are each exactly
+    ``e <u> <v>`` if and only if there are 4m tokens, every fourth one from
+    the first is ``e``, and the only LINE_BREAK tokens are the m that close
+    each group of four.
+    """
+    pos = 0
+    while True:  # comment and blank lines up to the problem line
+        end = text.find("\n", pos)
+        if end == -1:
+            end = len(text)
+        parts = text[pos:end].split()
+        if parts and parts[0] != "c":
+            break
+        if end == len(text):
+            return None
+        pos = end + 1
+    if len(parts) != 4 or parts[0] != "p" or parts[1] != "edge":
+        return None
+    try:
+        n, m = int(parts[2]), int(parts[3])
+    except ValueError:
+        return None
+    body = text[end + 1:]
+    if n < 0 or m < 0 or LINE_BREAK in body:
+        return None
+    breaks = body.count("\n")  # each becomes one LINE_BREAK token
+    tokens = body.replace("\n", f" {LINE_BREAK} ").split()
+    if tokens and tokens[-1] != LINE_BREAK:
+        tokens.append(LINE_BREAK)  # a last line without a line break
+        breaks += 1
+    if (
+        len(tokens) != 4 * m
+        or breaks != m
+        or tokens[3::4].count(LINE_BREAK) != m
+        or tokens[::4].count("e") != m
+    ):
+        return None
+    return n, [tokens[1::4], tokens[2::4]]
 
 
 def _scan_graph(lines: Iterable[str], source: str):
@@ -559,22 +653,28 @@ def _edge_pairs(n: int, ends: list[str], edge_lines: list[int], source: str) -> 
     return pairs
 
 
-def _bulk_graph(n: int, ends: list[str]) -> Graph | None:
-    """The graph of the edge lines, converted and checked as arrays and built
-    as a CSR; None if any endpoint is bad or any edge repeats."""
+def _edge_graph(n: int, ends: list[list[str]]) -> Graph | None:
+    """The graph of the edge lines' endpoint strings; None if any endpoint is
+    bad or any edge repeats.
+
+    Endpoints are read as ``int()`` reads them: below BULK_MIN_EDGES edge lines
+    by ``int()`` itself, from there on in one numpy call, which costs tens of
+    microseconds more per file and much less per edge.
+    """
+    m = len(ends[0])
     try:
-        pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)  # parses as int() does
-    except (ValueError, OverflowError):
+        if m < BULK_MIN_EDGES:
+            pairs = [(int(a) - 1, int(b) - 1) for a, b in zip(*ends)]
+        else:
+            pairs = (np.array(ends, dtype=np.int64) - 1).T  # parses as int() does
+        g = Graph.from_edge_list(n, pairs)
+    except (ValueError, OverflowError):  # GraphError included
         return None
-    if ((pairs < 1) | (pairs > n)).any() or (pairs[:, 0] == pairs[:, 1]).any():
-        return None
-    g = Graph.from_edge_list(n, pairs - 1)
-    return g if g.m == len(pairs) else None  # fewer edges than lines: a duplicate
+    return g if g.m == m else None  # fewer edges than lines: a duplicate
 
 
 def read_graph_file(path: str) -> Graph:
-    with open(path) as fh:
-        return parse_graph(fh, source=path)
+    return parse_graph(read_text(path, GraphError), source=path)
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
@@ -599,6 +699,23 @@ def write_text(text: str, path_or_file: str | IO[str]) -> None:
             fh.write(text)
     else:
         path_or_file.write(text)
+
+
+def read_text(path: str, error: type[ValueError]) -> str:
+    r"""The text of a UTF-8 file with ``\r\n`` and ``\r`` read as ``\n``, as
+    text mode reads them; bytes that are not UTF-8 raise `error` with
+    ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise error(f"{path}:{line}: not UTF-8 text") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

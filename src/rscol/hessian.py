@@ -18,7 +18,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .colouring import Colouring, is_rs
-from .graph import Graph, write_text
+from .graph import Graph, read_text, write_text
 
 
 class PatternError(ValueError):
@@ -103,18 +103,19 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
     (iv) makes the choice total (without it, two vertices coloured 0 across an
     uncoloured middle vertex would leave that vertex with no legal colour).
     """
+    off, tgt = g.offsets, g.targets
     colours = [-1] * g.n
     # cnt[v] maps colour -> number of neighbours of v with that colour
     cnt: list[dict[int, int]] = [dict() for _ in range(g.n)]
 
-    def feasible(v: int, col: int) -> bool:
+    def feasible(v: int, nbrs: list[int], col: int) -> bool:
         mine = cnt[v]
         if mine.get(col):
             return False
         for i, times in mine.items():
             if i < col and times > 1:
                 return False
-        for u in g.neighbours(v):
+        for u in nbrs:
             cu = colours[u]
             if cu > col and cnt[u].get(col):
                 return False
@@ -123,11 +124,12 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
         return True
 
     for v in _vertex_order(g, order):
+        nbrs = tgt[off[v]:off[v + 1]]
         col = 0
-        while not feasible(v, col):
+        while not feasible(v, nbrs, col):
             col += 1
         colours[v] = col
-        for u in g.neighbours(v):
+        for u in nbrs:
             cnt[u][col] = cnt[u].get(col, 0) + 1
     result = Colouring.of(colours)
     if not is_rs(g, result):
@@ -321,17 +323,21 @@ def write_dense_csv(matrix: np.ndarray, path_or_file: str | IO[str]) -> None:
 
 
 def read_dense_csv(path: str) -> np.ndarray:
-    """A field that is not a number, or a row whose length differs from the
-    first row's, raises PatternError with ``path:line``."""
+    """A field that is not a number (``_`` included, which ``float`` would
+    skip), a row whose length differs from the first row's, or bytes that are
+    not UTF-8 raise PatternError with ``path:line``.  A file with no nonblank
+    line reads as a 0 x 0 matrix."""
     rows: list[list[float]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise PatternError(f"{path}:{lineno}: non-numeric field") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise PatternError(f"{path}:{lineno}: expected {len(rows[0])} fields")
-    return np.array(rows)
+    for lineno, line in enumerate(read_text(path, PatternError).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            row = None
+        if row is None or "_" in line:  # float() reads 1_0 as 10
+            raise PatternError(f"{path}:{lineno}: non-numeric field")
+        if rows and len(row) != len(rows[0]):
+            raise PatternError(f"{path}:{lineno}: expected {len(rows[0])} fields")
+        rows.append(row)
+    return np.array(rows) if rows else np.zeros((0, 0))

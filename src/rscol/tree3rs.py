@@ -169,7 +169,8 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
         g = t
         if g.n < 1 or g.m != g.n - 1:
             raise GraphError("input graph is not a tree")
-        root = next((v for v in range(g.n) if g.degree(v) >= 3), -1)
+        off = g.offsets
+        root = next((v for v in range(g.n) if off[v + 1] - off[v] >= 3), -1)
         if root == -1:
             if not is_tree(g):
                 raise GraphError("input graph is not a tree")
@@ -179,7 +180,7 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
     # pass is needed.  m = n-1 was checked above, so visiting all n vertices
     # exactly once certifies tree-ness; a cycle would push `visited` past n.
     n = g.n
-    neighbours = g.neighbours
+    off, tgt = g.offsets, g.targets
     state = TraversalState.for_tree(n)
     colour = state.colour
     ccount = state.classC_count
@@ -187,8 +188,8 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
     updist = state.up_distance
     visited = 1  # the root
 
-    # frame: [vertex, parent of vertex, up_distance, position in adjacency list]
-    frames: list[list[int]] = [[root, -1, 0, 0]]
+    # frame: [vertex, parent of vertex, up_distance, next position in targets]
+    frames: list[list[int]] = [[root, -1, 0, off[root]]]
     pending: BranchClass | None = None  # branch class flowing to frames[-1]
 
     def fail(kind: str, v: int) -> TreeTestResult:
@@ -213,32 +214,32 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
             elif bc is BranchClass.D:
                 if not try_to_colour(state, v, 1):
                     return fail("colour_conflict", v)
-        adj_v = neighbours(v)
         idx = frame[3]
+        end = off[v + 1]
         pv = frame[1]
-        while idx < len(adj_v) and adj_v[idx] == pv:
+        while idx < end and tgt[idx] == pv:
             idx += 1
-        if idx < len(adj_v):
-            w = adj_v[idx]
+        if idx < end:
+            w = tgt[idx]
             frame[3] = idx + 1
             # walk the degree-2 chain below v until a leaf or 3-plus vertex
             p = v
             d = 1
             visited += 1
-            adj_w = neighbours(w)
-            while len(adj_w) == 2:
-                a, b = adj_w
-                p, w = w, (b if a == p else a)
+            lo = off[w]
+            while off[w + 1] - lo == 2:
+                a = tgt[lo]
+                p, w = w, (tgt[lo + 1] if a == p else a)
                 d += 1
                 visited += 1
-                adj_w = neighbours(w)
+                lo = off[w]
             if visited > n:
                 raise GraphError("input graph is not a tree")
             updist[w] = d
-            if len(adj_w) == 1:  # leaf: class VII subtree, classify its branch now
+            if off[w + 1] - lo == 1:  # leaf: class VII subtree, classify its branch now
                 pending = branch_class_lookup(SubtreeClass.VII, d)
             else:
-                frames.append([w, p, d, 0])
+                frames.append([w, p, d, lo])
         else:
             frame[3] = idx
             cls = subtree_class_from_state(colour[v], ccount[v], ecount[v])

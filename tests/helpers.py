@@ -22,7 +22,6 @@ from rscol.graph import (
     Graph,
     GraphError,
     connected_components,
-    induced_subgraph,
     is_chordal,
     is_tree,
     list_triangles,
@@ -474,7 +473,56 @@ def set_built_graph(n: int, edges) -> Graph:
             raise GraphError(f"self-loop at vertex {u}")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, [sorted(s) for s in adj])
+    offsets = [0]
+    for s in adj:
+        offsets.append(offsets[-1] + len(s))
+    return Graph(n, offsets, [w for s in adj for w in sorted(s)])
+
+
+class ListGraph:
+    """The graph type as it was before CSR: one sorted adjacency list per vertex."""
+
+    def __init__(self, n: int, edges):
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        self.n = n
+        self.adj = [sorted(s) for s in adj]
+
+    @property
+    def m(self) -> int:
+        return sum(map(len, self.adj)) // 2
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def neighbours(self, v: int) -> list[int]:
+        return self.adj[v]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj[u]
+
+    def edges(self):
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ListGraph) and (self.n, self.adj) == (other.n, other.adj)
+
+
+def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
+    """Induced subgraph on `vertices`, relabelled densely.
+
+    Returns (subgraph, old_ids) where old_ids[new] = original vertex id.
+    """
+    old_ids = sorted(vertices)
+    index = {v: i for i, v in enumerate(old_ids)}
+    edges = [
+        (index[u], index[v])
+        for u, v in g.edges()
+        if u in index and v in index
+    ]
+    return Graph.from_edge_list(len(old_ids), edges), old_ids
 
 
 def line_parsed_graph(lines, source: str = "<graph>") -> Graph:

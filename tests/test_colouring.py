@@ -211,10 +211,8 @@ class TestCombiningSubcolourings:
             side1 = self._components_after_edge_cut(t, u1, u2)
             keep1 = sorted(side1 | {u2})
             keep2 = sorted((set(range(n)) - side1) | {u1})
-            from rscol.graph import induced_subgraph
-
-            g1, ids1 = induced_subgraph(t, keep1)
-            g2, ids2 = induced_subgraph(t, keep2)
+            g1, ids1 = helpers.induced_subgraph(t, keep1)
+            g2, ids2 = helpers.induced_subgraph(t, keep2)
             r1 = decide_k_rs(g1, 3)
             if r1.status is not SolveStatus.YES:
                 continue
@@ -236,8 +234,6 @@ class TestCombiningSubcolourings:
             assert is_rs(t, Colouring.of(combined, k=3))
 
     def test_joining_at_vertex(self, rng):
-        from rscol.graph import induced_subgraph
-
         for _ in range(40):
             n = rng.randint(4, 9)
             t = helpers.random_tree(n, rng)
@@ -247,8 +243,8 @@ class TestCombiningSubcolourings:
             first = self._components_after_edge_cut(t, list(t.neighbours(v))[0], v) - {v}
             keep1 = sorted(first | {v})
             keep2 = sorted((set(range(n)) - first))
-            g1, ids1 = induced_subgraph(t, keep1)
-            g2, ids2 = induced_subgraph(t, keep2)
+            g1, ids1 = helpers.induced_subgraph(t, keep1)
+            g2, ids2 = helpers.induced_subgraph(t, keep2)
             r1 = decide_k_rs(g1, 3, pre=PartialColouring.of(g1.n, {ids1.index(v): 0}, 3))
             r2 = decide_k_rs(g2, 3, pre=PartialColouring.of(g2.n, {ids2.index(v): 0}, 3))
             if r1.status is not SolveStatus.YES or r2.status is not SolveStatus.YES:

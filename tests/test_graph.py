@@ -3,6 +3,7 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from rscol.graph import (
     cycle_graph,
     format_graph,
     girth,
-    induced_subgraph,
     is_bipartite,
     is_chordal,
     is_tree,
@@ -68,6 +68,57 @@ class TestFromEdgeList:
             assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
 
 
+EDGE_LISTS = st.integers(0, 14).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+                 .filter(lambda e: e[0] != e[1]), max_size=50) if n > 1 else st.just([]),
+    )
+)
+
+
+class TestCsrAgainstListOfLists:
+    """The CSR type against the per-vertex lists it replaced (helpers.ListGraph)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_LISTS, st.randoms(use_true_random=False), st.booleans())
+    def test_same_queries(self, n_edges, rnd, as_array):
+        n, edges = n_edges
+        oracle = helpers.ListGraph(n, edges)
+        g = Graph.from_edge_list(n, np.array(edges, dtype=np.int64).reshape(-1, 2)
+                                 if as_array else edges)
+        assert g.n == oracle.n and g.m == oracle.m
+        assert list(g.edges()) == oracle.edges()
+        assert g.adjacency() == oracle.adj
+        assert g.max_degree() == max(map(len, oracle.adj), default=0)
+        for v in range(n):
+            assert g.neighbours(v) == oracle.neighbours(v)
+            assert g.degree(v) == oracle.degree(v)
+            for w in range(n):
+                assert g.has_edge(v, w) == oracle.has_edge(v, w)
+        assert all(type(w) is int for w in g.targets) and all(type(i) is int for i in g.offsets)
+        # another order and orientation of the same edges gives an equal graph
+        shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+        rnd.shuffle(shuffled)
+        other = Graph.from_edge_list(n, shuffled + shuffled[: len(shuffled) // 2])
+        assert other == g and hash(other) == hash(g)
+        assert helpers.set_built_graph(n, edges) == g
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_LISTS, EDGE_LISTS)
+    def test_equal_exactly_when_adjacency_equal(self, a, b):
+        ga, gb = Graph.from_edge_list(*a), Graph.from_edge_list(*b)
+        oa, ob = helpers.ListGraph(*a), helpers.ListGraph(*b)
+        assert (ga == gb) == (oa == ob)
+        if ga == gb:
+            assert hash(ga) == hash(gb)
+
+    def test_neighbours_is_a_copy(self):
+        g = path_graph(3)
+        g.neighbours(1).append(7)
+        assert g.neighbours(1) == [0, 2] and g == path_graph(3)
+
+
 class TestDegreeAndTrees:
     def test_dart_degrees(self):
         g = helpers.dart()
@@ -90,7 +141,7 @@ class TestDegreeAndTrees:
     def test_component_subgraphs_match_induced_subgraphs(self, n, p, seed):
         g = helpers.random_graph(n, p, random.Random(seed))
         split = component_subgraphs(g)
-        assert split == [induced_subgraph(g, comp) for comp in connected_components(g)]
+        assert split == [helpers.induced_subgraph(g, comp) for comp in connected_components(g)]
         assert all(type(w) is int for sub, _ in split for a in sub.adjacency() for w in a)
 
 

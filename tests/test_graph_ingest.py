@@ -1,7 +1,10 @@
 """Graph ingest against the line parser and set-based builder it replaced.
 
-Files are drawn on both sides of BULK_MIN_EDGES, so the line-by-line path and
-the numpy path are each compared with the oracles in helpers.
+Files are drawn on both sides of BULK_MIN_EDGES, where endpoint conversion
+switches from int() to numpy, and with over a thousand edge lines, and are read
+both from lines (``parse_graph``) and from a file (``read_graph_file``), so the
+whole-text tokeniser, both conversions, the fallback to the line scanner and
+the text-mode line breaks are each compared with the oracles in helpers.
 """
 
 import io
@@ -17,11 +20,21 @@ import helpers
 from rscol import graph
 from rscol.colouring import ColouringError, parse_colouring, parse_partial_colouring
 from rscol.constructions import CnfError, parse_cnf
-from rscol.graph import BULK_MIN_EDGES, Graph, GraphError, format_graph, parse_graph
+from rscol.graph import (
+    BULK_MIN_EDGES,
+    Graph,
+    GraphError,
+    format_graph,
+    parse_graph,
+    read_graph_file,
+)
 
-FUZZ = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+LARGE = 1024  # edge lines of a large file, far past BULK_MIN_EDGES
 
-SIZES = st.one_of(st.integers(0, 40), st.integers(BULK_MIN_EDGES, BULK_MIN_EDGES + 150))
+FUZZ = settings(max_examples=80, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+SIZES = st.one_of(st.integers(0, BULK_MIN_EDGES + 8), st.integers(LARGE, LARGE + 150))
 
 
 def distinct_edges(m: int, rnd: random.Random) -> tuple[int, list[tuple[int, int]]]:
@@ -56,9 +69,13 @@ BAD_LINES = [
     "p edge 3", "p edges 3 3", "p edge x 3", "p edge 3 y", "p edge 3 1", "%", "1 2",
 ]
 
+# whitespace that str.split splits at: inside a line it separates tokens, and
+# only "\n", "\r\n" and "\r" end a line of a file read in text mode
+SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u2029"]
+
 MUTATION = st.tuples(
     st.sampled_from(["comment", "blank", "respell", "huge", "range", "self-loop", "bad-line",
-                     "edge-before-p", "no-p", "count", "indent"]),
+                     "edge-before-p", "no-p", "count", "indent", "separator", "join"]),
     st.integers(0, 10**6),
     st.integers(0, 10**6),
 )
@@ -72,10 +89,12 @@ def graph_files(draw) -> str:
     n, edges = distinct_edges(m, rnd)
     lines = [f"p edge {n} {m}"] + [f"e {u} {v}" for u, v in edges]
     for kind, a, b in draw(st.lists(MUTATION, max_size=4)):
+        if not lines:
+            break
         at = a % (len(lines) + 1)
-        edge_at = 1 + a % m if m and lines[0].startswith("p") else None
+        edge_at = 1 + a % m if m and lines[0].startswith("p") and len(lines) > m else None
         if kind == "comment":
-            lines.insert(at, ["c", "c text here", "c 1 2", "  c\tindented"][b % 4])
+            lines.insert(at, ["c", "c text here", "c 1 2", "  c\tindented", "c \0 nul"][b % 5])
         elif kind == "blank":
             lines.insert(at, ["", "   ", "\t"][b % 3])
         elif kind == "indent":
@@ -98,12 +117,21 @@ def graph_files(draw) -> str:
             del lines[0]
         elif kind == "count" and lines[0].startswith("p"):
             lines[0] = f"p edge {n} {max(0, m + [-1, 1, 5][b % 3])}"
-    return "\n".join(lines) + "\n"
+        elif kind == "separator":
+            lines[at % len(lines)] = lines[at % len(lines)].replace(
+                " ", SEPARATORS[b % len(SEPARATORS)], 1 + b % 2)
+        elif kind == "join" and len(lines) > 1:  # two lines become one
+            at %= len(lines) - 1
+            lines[at:at + 2] = [lines[at] + SEPARATORS[b % len(SEPARATORS)] + lines[at + 1]]
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, newline, ""]))
 
 
-def outcome(parse, text: str):
+def outcome(parse, text: str, newline: str | None = "\n"):
+    """Graph or error message of `parse` on the lines of `text`; with
+    ``newline=None`` the lines are those of a file read in text mode."""
     try:
-        g = parse(io.StringIO(text), "f.gr")
+        g = parse(io.StringIO(text, newline=newline), "f.gr")
     except GraphError as exc:
         return ("error", str(exc))
     adj = g.adjacency()
@@ -116,6 +144,15 @@ class TestAgainstLineParser:
     @given(graph_files())
     def test_same_graph_or_same_error(self, text):
         assert outcome(parse_graph, text) == outcome(helpers.line_parsed_graph, text)
+
+    @FUZZ
+    @given(graph_files())
+    def test_file_same_graph_or_same_error(self, tmp_path, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        with open("f.gr", "wb") as fh:
+            fh.write(text.encode())  # no newline translation on the way out
+        got = outcome(lambda lines, source: read_graph_file(source), text)
+        assert got == outcome(helpers.line_parsed_graph, text, newline=None)
 
     @FUZZ
     @given(SIZES, st.integers(0, 2**32 - 1), st.integers(0, 10**6), st.booleans())
@@ -146,8 +183,67 @@ class TestAgainstLineParser:
         def refuse(*args):
             raise AssertionError("line-by-line check ran on a valid large file")
 
-        n, edges = distinct_edges(BULK_MIN_EDGES, random.Random(3))
+        n, edges = distinct_edges(LARGE, random.Random(3))
         text = f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+        expected = helpers.line_parsed_graph(io.StringIO(text))
+        monkeypatch.setattr(graph, "_edge_pairs", refuse)
+        assert parse_graph(io.StringIO(text)) == expected
+
+
+class TestWholeFile:
+    @pytest.mark.parametrize("m", [4, LARGE + 10])
+    @pytest.mark.parametrize("line2", ["e 1 2\x0ce 3 4", "e 1 2 e\n3 4", "e 1 2\x85e 3 4"])
+    def test_one_line_with_two_edges_rejected(self, tmp_path, m, line2):
+        """Read as whole-text tokens, line 2 would be the edges 1-2 and 3-4, which
+        with the m - 2 edges after it make up the declared count."""
+        lines = [f"p edge {m + 3} {m}", line2] + [f"e {i} {i + 1}" for i in range(5, m + 3)]
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(GraphError, match=r"^f:2: expected 'e <u> <v>'$"):
+            parse_graph(io.StringIO(text), "f")
+        path = tmp_path / "f.gr"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=rf"^{re.escape(str(path))}:2: expected 'e <u> <v>'$"):
+            read_graph_file(str(path))
+
+    @pytest.mark.parametrize("data, line", [
+        (b"p edge 3 2\ne 1 2\ne 2 \xff\n", 3),
+        (b"\xfe\n", 1),
+        (b"c \xc3\xa9t\xc3\r\np edge 3 0\n", 1),
+        (b"c\r\nc\rc\n\ne 1 \xe2\x82", 5),
+    ])
+    def test_not_utf8_named_at_its_line(self, tmp_path, data, line):
+        path = tmp_path / "f.gr"
+        path.write_bytes(data)
+        with pytest.raises(GraphError, match=rf"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+            read_graph_file(str(path))
+
+    @pytest.mark.parametrize("m", [0, 1, 5, BULK_MIN_EDGES, LARGE])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("last", ["newline", "none", "blank"])
+    def test_valid_file_needs_no_line_scan(self, tmp_path, monkeypatch, m, newline, last):
+        def refuse(*args):
+            raise AssertionError("the line scanner ran on a file of edge lines")
+
+        n, edges = distinct_edges(m, random.Random(m))
+        lines = ["c header", "", f"p edge {n} {m}"] + [f"e {u}\t{v} " for u, v in edges]
+        text = newline.join(lines) + {"newline": newline, "none": "", "blank": newline + "  "}[last]
+        path = tmp_path / "f.gr"
+        path.write_bytes(text.encode())
+        expected = helpers.line_parsed_graph(io.StringIO(text, newline=None))
+        monkeypatch.setattr(graph, "_scan_graph", refuse)
+        assert read_graph_file(str(path)) == expected
+
+
+    @pytest.mark.parametrize("m", [5, LARGE])
+    def test_comment_among_edge_lines_needs_no_pair_check(self, monkeypatch, m):
+        def refuse(*args):
+            raise AssertionError("the line-by-line edge check ran on a valid file")
+
+        n, edges = distinct_edges(m, random.Random(m))
+        lines = [f"p edge {n} {m}"] + [f"e {u} {v}" for u, v in edges]
+        lines.insert(1 + m // 2, "c among the edges")
+        lines.insert(2 + m // 2, "")
+        text = "\n".join(lines) + "\n"
         expected = helpers.line_parsed_graph(io.StringIO(text))
         monkeypatch.setattr(graph, "_edge_pairs", refuse)
         assert parse_graph(io.StringIO(text)) == expected
@@ -159,7 +255,7 @@ class TestDuplicateEdges:
             parse_graph(io.StringIO("p edge 2 2\ne 1 2\ne 2 1\n"), "f")
 
     def test_large_file(self):
-        m = BULK_MIN_EDGES + 10
+        m = LARGE + 10
         lines = [f"p edge {m + 1} {m + 1}"] + [f"e {i} {i + 1}" for i in range(1, m + 1)]
         lines.insert(700, "e 501 500")
         with pytest.raises(GraphError, match=r"^f:701: duplicate edge 500 501$"):

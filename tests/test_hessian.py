@@ -446,11 +446,12 @@ class TestDenseCsvWriter:
     @given(csv_matrices())
     def test_read_back_keeps_every_bit(self, tmp_path, matrix):
         a = np.asarray(matrix, dtype=float)
-        if 0 in a.shape:
-            return  # no nonblank line: read_dense_csv gives shape (0,)
         path = str(tmp_path / "m.csv")
         write_dense_csv(matrix, path)
         back = read_dense_csv(path)
+        if 0 in a.shape:  # the text has no nonblank line, so the width is lost
+            assert back.shape == (0, 0)
+            return
         assert back.shape == a.shape
         nan = np.isnan(a)
         assert np.array_equal(np.isnan(back), nan)  # repr drops NaN sign and payload
@@ -502,14 +503,14 @@ def malformed_csv_text(draw):
 
 
 def float_parsed_rows(text: str, path: str):
-    """The rows of `text` parsed with float, or the PatternError message that
-    names the first bad line."""
+    """The rows of `text` parsed with float, where a field with ``_`` is not a
+    number, or the PatternError message that names the first bad line."""
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            row = [float(tok) for tok in line.split(",")]
+            row = [float(tok.replace("_", "x")) for tok in line.split(",")]
         except ValueError:
             return f"{path}:{lineno}: non-numeric field"
         if rows and len(row) != len(rows[0]):
@@ -531,6 +532,39 @@ class TestDenseCsvReaderFuzz:
             assert str(exc) == expected
         else:
             assert not isinstance(expected, str), expected
-            want = np.array(expected)
+            want = np.array(expected) if expected else np.zeros((0, 0))
             assert got.shape == want.shape
             assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestDenseCsvReader:
+    @pytest.mark.parametrize("data, line", [
+        (b"1.0,2.0\n3.0,\xff\n", 2),
+        (b"\xff", 1),
+        (b"1.0\r\n2.0\r3.0\n\n4.\xc3\n", 5),
+    ])
+    def test_not_utf8_named_at_its_line(self, tmp_path, data, line):
+        path = tmp_path / "b.csv"
+        path.write_bytes(data)
+        with pytest.raises(PatternError, match=rf"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+            read_dense_csv(str(path))
+
+    @pytest.mark.parametrize("text, line", [("1_0,2\n", 1), ("1.0,2.0\n3.0,4_0.5\n", 2),
+                                            ("1.0\n_1\n", 2)])
+    def test_underscore_is_not_a_number(self, tmp_path, text, line):
+        path = tmp_path / "b.csv"
+        path.write_text(text)
+        with pytest.raises(PatternError, match=rf"^{re.escape(str(path))}:{line}: non-numeric field$"):
+            read_dense_csv(str(path))
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n", " \t\n\r\n"])
+    def test_no_rows_reads_as_0_by_0(self, tmp_path, text):
+        path = tmp_path / "b.csv"
+        path.write_text(text)
+        got = read_dense_csv(str(path))
+        assert got.shape == (0, 0) and got.dtype == np.float64
+
+    def test_text_mode_line_breaks(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"1.0,2.0\r\n3.0,4.0\r5.0,6.0")
+        assert np.array_equal(read_dense_csv(str(path)), [[1, 2], [3, 4], [5, 6]])
