@@ -47,7 +47,6 @@ from .graph import (
     GraphError,
     RootedTree,
     attach_pendants,
-    from_edge_list,
     girth,
     is_bipartite,
     is_chordal,
@@ -79,13 +78,11 @@ from .solver import (
 from .tree3rs import (
     BranchClass,
     SubtreeClass,
-    TraversalState,
     TreeTestResult,
     branch_class_lookup,
     path_3rs_feasible,
     subtree_class_from_state,
     test_3rs_tree,
-    try_to_colour,
 )
 
 __version__ = "0.1.0"

@@ -275,7 +275,8 @@ def _cmd_hess_compress(args) -> int:
     matrix = hessian.read_matrix_market(args.matrix)
     pattern = hessian.SparsityPattern.from_dense(matrix)
     g = hessian.pattern_to_graph(pattern)
-    grouping_colouring = hessian.greedy_rs_colouring(g, order=args.order)
+    order = "largest_degree_first" if args.order == "ldf" else args.order
+    grouping_colouring = hessian.greedy_rs_colouring(g, order=order)
     # greedy_rs_colouring raises unless its result is rs
     grouping = hessian.SeedGrouping(grouping_colouring)
     compressed = hessian.compress(matrix, grouping, pattern)
@@ -404,8 +405,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _cached_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "order", None) == "ldf":
-            args.order = "largest_degree_first"
         return args.handler(args)
     except _UsageError as exc:
         _emit("ERROR", f"usage error: {exc}")

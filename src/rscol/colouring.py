@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
-from .graph import Graph, VertexId, write_text
+from .graph import Graph, VertexId, read_text, write_text
 
 
 class ColouringError(ValueError):
@@ -345,8 +345,7 @@ def parse_colouring(lines, n: int, source: str = "<colouring>") -> Colouring:
 
 
 def read_colouring_file(path: str, n: int) -> Colouring:
-    with open(path) as fh:
-        return parse_colouring(fh, n, source=path)
+    return parse_colouring(read_text(path, ColouringError).split("\n"), n, source=path)
 
 
 def parse_partial_colouring(lines, n: int, k: int, source: str = "<colouring>") -> PartialColouring:
@@ -355,8 +354,7 @@ def parse_partial_colouring(lines, n: int, k: int, source: str = "<colouring>") 
 
 
 def read_partial_colouring_file(path: str, n: int, k: int) -> PartialColouring:
-    with open(path) as fh:
-        return parse_partial_colouring(fh, n, k, source=path)
+    return parse_partial_colouring(read_text(path, ColouringError).split("\n"), n, k, source=path)
 
 
 def format_colouring(c: Colouring) -> str:

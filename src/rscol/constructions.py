@@ -15,6 +15,7 @@ from .graph import (
     GraphError,
     VertexId,
     connected_components,
+    read_text,
     subdivide_all_edges,
     write_text,
 )
@@ -498,8 +499,7 @@ def parse_cnf(lines: Iterable[str], source: str = "<cnf>") -> PositiveCnf:
 
 
 def read_cnf_file(path: str) -> PositiveCnf:
-    with open(path) as fh:
-        return parse_cnf(fh, source=path)
+    return parse_cnf(read_text(path, CnfError).split("\n"), source=path)
 
 
 def format_cnf(f: PositiveCnf) -> str:

@@ -21,10 +21,10 @@ name ``source:line``; the first bad line in file order is reported.
 Ingest reads the whole text, tokenises the edge lines in one ``str.split``,
 converts all endpoints in one numpy call (by ``int()`` below
 ``BULK_MIN_EDGES`` edge lines, where numpy's fixed cost dominates) and builds
-the CSR through ``Graph.from_edge_list``, which checks them.  A file this
-fast path does not take is read again line by line: with comment or blank
-lines among its edge lines it is still converted and built in bulk, and
-otherwise the line scanner names the first bad line.
+the CSR through ``Graph.from_edge_list``, which checks them.  Every other
+file (one with comment or blank lines among its edge lines, or with a bad
+line) goes to the line scanner, which checks each line in file order, raises
+at the first bad one and otherwise builds the graph from its pairs.
 """
 
 from __future__ import annotations
@@ -166,10 +166,6 @@ def _array_csr(n: int, edges: np.ndarray) -> Graph:
     keys = keys[first]
     offsets = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
     return Graph(n, offsets, (keys % n).tolist())
-
-
-def from_edge_list(n: int, edges: Iterable[Edge] | np.ndarray) -> Graph:
-    return Graph.from_edge_list(n, edges)
 
 
 # -- connectivity ----------------------------------------------------------
@@ -519,20 +515,7 @@ def parse_graph(text: str | Iterable[str], source: str = "<graph>") -> Graph:
         g = _edge_graph(*edge_tokens)
         if g is not None:
             return g
-    n, declared_m, ends, edge_lines, error = _scan_graph(text.split("\n"), source)
-    if error is None and n != -1 and len(edge_lines) == declared_m:
-        # comment or blank lines among the edge lines, or a bad edge line
-        g = _edge_graph(n, [ends[::2], ends[1::2]])
-        if g is not None:
-            return g
-    edges = _edge_pairs(n, ends, edge_lines, source)  # names the first bad edge line
-    if error is not None:
-        raise error
-    if n == -1:
-        raise GraphError(f"{source}: missing problem line")
-    if len(edge_lines) != declared_m:
-        raise GraphError(f"{source}: declared {declared_m} edges, found {len(edge_lines)}")
-    return Graph.from_edge_list(n, edges)
+    return _scan_graph(text.split("\n"), source)
 
 
 def _edge_tokens(text: str) -> tuple[int, list[list[str]]] | None:
@@ -589,28 +572,34 @@ def _edge_tokens(text: str) -> tuple[int, list[list[str]]] | None:
     return n, [tokens[1::4], tokens[2::4]]
 
 
-def _scan_graph(lines: Iterable[str], source: str):
-    """Split the lines of a graph file, leaving the endpoint strings unread.
-
-    Returns (n, declared_m, ends, edge_lines, error): `ends` holds the two
-    endpoint strings of each edge line, `edge_lines` its line number, and
-    `error` the first malformed line, where the scan stopped (or None).
-    """
+def _scan_graph(lines: Iterable[str], source: str) -> Graph:
+    """Check the lines of a graph file one at a time, in file order, and
+    raise at the first bad one; the graph of their edges otherwise."""
     n, declared_m = -1, 0
-    ends: list[str] = []
-    edge_lines: list[int] = []
-    add_end, add_line = ends.append, edge_lines.append
+    pairs: list[Edge] = []
+    seen: set[Edge] = set()
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0] == "c":
             continue
         kind = parts[0]
         if kind == "e" and len(parts) == 3 and n != -1:
-            add_end(parts[1])
-            add_end(parts[2])
-            add_line(lineno)
-            continue
-        if kind == "e":
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphError(f"{source}:{lineno}: non-integer endpoint") from None
+            key = (u, v) if u < v else (v, u)
+            if not (1 <= u <= n and 1 <= v <= n):
+                problem = f"endpoint outside 1..{n}"
+            elif u == v:
+                problem = f"self-loop at {u}"
+            elif key in seen:
+                problem = f"duplicate edge {key[0]} {key[1]}"
+            else:
+                seen.add(key)
+                pairs.append((u - 1, v - 1))
+                continue
+        elif kind == "e":
             problem = "edge before problem line" if n == -1 else "expected 'e <u> <v>'"
         elif kind != "p":
             problem = f"unknown line type {kind!r}"
@@ -627,30 +616,12 @@ def _scan_graph(lines: Iterable[str], source: str):
                 if n >= 0 and declared_m >= 0:
                     continue
                 problem = "negative vertex count" if n < 0 else "negative edge count"
-        return n, declared_m, ends, edge_lines, GraphError(f"{source}:{lineno}: {problem}")
-    return n, declared_m, ends, edge_lines, None
-
-
-def _edge_pairs(n: int, ends: list[str], edge_lines: list[int], source: str) -> list[Edge]:
-    """Check edge lines one at a time; return their 0-based endpoint pairs."""
-    pairs: list[Edge] = []
-    seen: set[Edge] = set()
-    tokens = iter(ends)
-    for lineno, a, b in zip(edge_lines, tokens, tokens):
-        try:
-            u, v = int(a), int(b)
-        except ValueError:
-            raise GraphError(f"{source}:{lineno}: non-integer endpoint") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphError(f"{source}:{lineno}: endpoint outside 1..{n}")
-        if u == v:
-            raise GraphError(f"{source}:{lineno}: self-loop at {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphError(f"{source}:{lineno}: duplicate edge {key[0]} {key[1]}")
-        seen.add(key)
-        pairs.append((u - 1, v - 1))
-    return pairs
+        raise GraphError(f"{source}:{lineno}: {problem}")
+    if n == -1:
+        raise GraphError(f"{source}: missing problem line")
+    if len(pairs) != declared_m:
+        raise GraphError(f"{source}: declared {declared_m} edges, found {len(pairs)}")
+    return Graph.from_edge_list(n, pairs)
 
 
 def _edge_graph(n: int, ends: list[list[str]]) -> Graph | None:

@@ -291,8 +291,8 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
 
 
 def read_matrix_market(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return parse_matrix_market(fh, source=path)
+    text = read_text(path, PatternError)
+    return parse_matrix_market(text.split("\n") if text else [], source=path)
 
 
 def write_dense_csv(matrix: np.ndarray, path_or_file: str | IO[str]) -> None:

@@ -9,7 +9,7 @@ vertices) even on million-vertex paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .graph import Graph, GraphError, RootedTree, is_tree
@@ -69,19 +69,18 @@ _BRANCH_TABLE: dict[SubtreeClass, tuple[BranchClass, ...]] = {
 }
 
 
-def branch_class_lookup(subtree: SubtreeClass, up_distance: int) -> BranchClass:
+def branch_class_lookup(subtree: SubtreeClass, distance: int) -> BranchClass:
     """Class of the branch made of a `subtree`-class rooted subtree and a path
-    of length `up_distance`.  A class I subtree always yields a class A branch."""
-    if up_distance < 1:
+    of length `distance` (its up-distance).  A class I subtree always yields a
+    class A branch."""
+    if distance < 1:
         raise ValueError("up-distance must be at least 1")
     if subtree is SubtreeClass.I:
         return BranchClass.A
-    return _BRANCH_TABLE[subtree][min(up_distance, 10) - 1]
+    return _BRANCH_TABLE[subtree][min(distance, 10) - 1]
 
 
-def subtree_class_from_state(
-    colour_v: int, c_count: int, e_count: int, is_leaf: bool = False
-) -> SubtreeClass:
+def subtree_class_from_state(colour_v: int, c_count: int, e_count: int) -> SubtreeClass:
     """Class of a rooted subtree from the forced colour at its root and the
     numbers of class C / class E branches below it.
 
@@ -90,8 +89,6 @@ def subtree_class_from_state(
     and -1 when nothing did.  Returning SubtreeClass.I signals rejection: the
     containing tree is not 3-rs colourable.
     """
-    if is_leaf:
-        return SubtreeClass.VII
     if colour_v == 0:
         return SubtreeClass.II
     if colour_v == 1:
@@ -109,37 +106,11 @@ def subtree_class_from_state(
 
 
 @dataclass
-class TraversalState:
-    """Per-run working arrays of the traversal (private to a run)."""
-
-    colour: list[int]  # -1 unset, else 0/1
-    up_distance: list[int]
-    classC_count: list[int]
-    classE_count: list[int]
-    dist: int = 0
-    visited: int = 0
-
-    @staticmethod
-    def for_tree(n: int) -> TraversalState:
-        return TraversalState([-1] * n, [0] * n, [0] * n, [0] * n)
-
-
-def try_to_colour(state: TraversalState, v: int, col: int) -> bool:
-    """Force colour `col` at v; False on conflict with an earlier forced colour."""
-    cur = state.colour[v]
-    if cur == -1:
-        state.colour[v] = col
-        return True
-    return cur == col
-
-
-@dataclass
 class TreeTestResult:
     colourable: bool
     reason: str | None = None  # "class_a_branch" | "class_i_subtree" | "colour_conflict"
     reason_vertex: int | None = None
     visited: int = 0
-    state: TraversalState | None = field(default=None, repr=False)
 
     def reason_text(self) -> str | None:
         if self.reason is None:
@@ -181,20 +152,17 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
     # exactly once certifies tree-ness; a cycle would push `visited` past n.
     n = g.n
     off, tgt = g.offsets, g.targets
-    state = TraversalState.for_tree(n)
-    colour = state.colour
-    ccount = state.classC_count
-    ecount = state.classE_count
-    updist = state.up_distance
+    colour = [-1] * n  # colour forced at a vertex by a branch below it: -1 none, else 0/1
+    ccount = [0] * n  # class C branches below each vertex
+    ecount = [0] * n  # class E branches below each vertex
     visited = 1  # the root
 
-    # frame: [vertex, parent of vertex, up_distance, next position in targets]
+    # frame: [vertex, parent of vertex, up-distance, next position in targets]
     frames: list[list[int]] = [[root, -1, 0, off[root]]]
     pending: BranchClass | None = None  # branch class flowing to frames[-1]
 
     def fail(kind: str, v: int) -> TreeTestResult:
-        state.visited = visited
-        return TreeTestResult(False, kind, v, visited, state)
+        return TreeTestResult(False, kind, v, visited)
 
     while frames:
         frame = frames[-1]
@@ -202,17 +170,15 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
         if pending is not None:
             bc = pending
             pending = None
-            if bc is BranchClass.C:
-                ccount[v] += 1
-                if not try_to_colour(state, v, 1):
-                    return fail("colour_conflict", v)
-            elif bc is BranchClass.E:
+            if bc is BranchClass.E:
                 ecount[v] += 1
-            elif bc is BranchClass.B:
-                if not try_to_colour(state, v, 0):
-                    return fail("colour_conflict", v)
-            elif bc is BranchClass.D:
-                if not try_to_colour(state, v, 1):
+            elif bc is not BranchClass.F:  # B forces colour 0 at v, C and D force 1
+                if bc is BranchClass.C:
+                    ccount[v] += 1
+                col = 0 if bc is BranchClass.B else 1
+                if colour[v] == -1:
+                    colour[v] = col
+                elif colour[v] != col:
                     return fail("colour_conflict", v)
         idx = frame[3]
         end = off[v + 1]
@@ -235,7 +201,6 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
                 lo = off[w]
             if visited > n:
                 raise GraphError("input graph is not a tree")
-            updist[w] = d
             if off[w + 1] - lo == 1:  # leaf: class VII subtree, classify its branch now
                 pending = branch_class_lookup(SubtreeClass.VII, d)
             else:
@@ -249,8 +214,7 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
             if not frames:
                 if visited != n:
                     raise GraphError("input graph is not a tree")
-                state.visited = visited
-                return TreeTestResult(True, visited=visited, state=state)
+                return TreeTestResult(True, visited=visited)
             bc = branch_class_lookup(cls, frame[2])
             if bc is BranchClass.A:
                 return fail("class_a_branch", v)

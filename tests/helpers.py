@@ -175,7 +175,8 @@ def backtrack_decide_k_ordered(
         return SolveResult(SolveStatus.BUDGET_EXCEEDED, nodes=s.nodes)
     if found:
         witness = Colouring(tuple(colour), k)
-        assert is_ordered(g, witness)
+        if not is_ordered(g, witness):  # not an assert: helpers.py is not rewritten under -O
+            raise RuntimeError("ordered backtracker produced a colouring that is not ordered")
         return SolveResult(SolveStatus.YES, witness=witness, nodes=s.nodes)
     return SolveResult(SolveStatus.NO, nodes=s.nodes)
 

@@ -18,8 +18,14 @@ from hypothesis import strategies as st
 
 import helpers
 from rscol import graph
-from rscol.colouring import ColouringError, parse_colouring, parse_partial_colouring
-from rscol.constructions import CnfError, parse_cnf
+from rscol.colouring import (
+    ColouringError,
+    parse_colouring,
+    parse_partial_colouring,
+    read_colouring_file,
+    read_partial_colouring_file,
+)
+from rscol.constructions import CnfError, parse_cnf, read_cnf_file
 from rscol.graph import (
     BULK_MIN_EDGES,
     Graph,
@@ -28,6 +34,7 @@ from rscol.graph import (
     parse_graph,
     read_graph_file,
 )
+from rscol.hessian import PatternError, read_matrix_market
 
 LARGE = 1024  # edge lines of a large file, far past BULK_MIN_EDGES
 
@@ -186,7 +193,7 @@ class TestAgainstLineParser:
         n, edges = distinct_edges(LARGE, random.Random(3))
         text = f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
         expected = helpers.line_parsed_graph(io.StringIO(text))
-        monkeypatch.setattr(graph, "_edge_pairs", refuse)
+        monkeypatch.setattr(graph, "_scan_graph", refuse)
         assert parse_graph(io.StringIO(text)) == expected
 
 
@@ -234,19 +241,27 @@ class TestWholeFile:
         assert read_graph_file(str(path)) == expected
 
 
-    @pytest.mark.parametrize("m", [5, LARGE])
-    def test_comment_among_edge_lines_needs_no_pair_check(self, monkeypatch, m):
-        def refuse(*args):
-            raise AssertionError("the line-by-line edge check ran on a valid file")
+class TestOtherReaders:
+    """The colouring, CNF and MatrixMarket readers decode as the graph reader does."""
 
-        n, edges = distinct_edges(m, random.Random(m))
-        lines = [f"p edge {n} {m}"] + [f"e {u} {v}" for u, v in edges]
-        lines.insert(1 + m // 2, "c among the edges")
-        lines.insert(2 + m // 2, "")
-        text = "\n".join(lines) + "\n"
-        expected = helpers.line_parsed_graph(io.StringIO(text))
-        monkeypatch.setattr(graph, "_edge_pairs", refuse)
-        assert parse_graph(io.StringIO(text)) == expected
+    @pytest.mark.parametrize("read, error, data, line", [
+        (lambda p: read_colouring_file(p, 2), ColouringError, b"1 0\n2 \xff\n", 2),
+        (lambda p: read_partial_colouring_file(p, 3, 2), ColouringError, b"c\r\n1 0\r\xfe 1", 3),
+        (read_cnf_file, CnfError, b"p cnf 3 1\n1 2 3 0 c\xc3\n", 2),
+        (read_matrix_market, PatternError,
+         b"%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 \xff\n", 3),
+    ], ids=["colouring", "partial-colouring", "cnf", "matrix-market"])
+    def test_not_utf8_named_at_its_line(self, tmp_path, read, error, data, line):
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+            read(str(path))
+
+    def test_empty_matrix_market_file(self, tmp_path):
+        path = tmp_path / "f.mtx"
+        path.write_bytes(b"")
+        with pytest.raises(PatternError, match=rf"^{re.escape(str(path))}: empty file$"):
+            read_matrix_market(str(path))
 
 
 class TestDuplicateEdges:

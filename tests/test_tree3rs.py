@@ -8,11 +8,9 @@ from rscol.solver import SolveStatus, decide_k_rs
 from rscol.tree3rs import (
     BranchClass,
     SubtreeClass,
-    TraversalState,
     branch_class_lookup,
     path_3rs_feasible,
     subtree_class_from_state,
-    try_to_colour,
 )
 from rscol.tree3rs import test_3rs_tree as run_tree_test
 
@@ -178,19 +176,9 @@ class TestSubtreeClassification:
         assert subtree_class_from_state(0, 0, 0) is SubtreeClass.II
 
     def test_uncoloured_cases(self):
-        assert subtree_class_from_state(-1, 0, 0, is_leaf=True) is SubtreeClass.VII
         assert subtree_class_from_state(-1, 0, 0) is SubtreeClass.VI
         assert subtree_class_from_state(-1, 0, 1) is SubtreeClass.V
         assert subtree_class_from_state(-1, 0, 2) is SubtreeClass.II
-
-
-class TestTryToColour:
-    def test_transitions(self):
-        state = TraversalState.for_tree(3)
-        assert try_to_colour(state, 0, 0)
-        assert state.colour[0] == 0
-        assert try_to_colour(state, 0, 0)  # same colour again is fine
-        assert not try_to_colour(state, 0, 1)  # conflict
 
 
 class TestTreeTester:
