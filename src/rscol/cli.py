@@ -150,7 +150,7 @@ def _decide_rs_worker(payload):
 
 
 def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
-    if threads <= 1 or g.n == 0:
+    if threads <= 1 or g.n == 0 or k < 1:
         return solver.decide_k_rs(g, k, pre=pre, budget=budget)
     # split the root vertex's colour choices across worker processes; a YES
     # from any worker stands, and the lowest root colour picks the witness
@@ -411,6 +411,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
     except (OSError, ValueError) as exc:
         _emit("ERROR", str(exc))
+        return EXIT_ERROR
+    except RecursionError:  # the exact searches recurse once per vertex
+        _emit("ERROR", "graph too large for exact search")
         return EXIT_ERROR
 
 

@@ -121,44 +121,32 @@ def is_rs(g: Graph, c: Colouring) -> bool:
 
 
 def is_star(g: Graph, c: Colouring) -> bool:
-    """Proper with no bicoloured P4: every pair of colour classes induces a star forest."""
+    """Proper with no bicoloured P4: every pair of colour classes induces a star forest.
+
+    A proper colouring has a bicoloured P4 exactly when some edge xy has two
+    neighbours of x coloured c(y) and two neighbours of y coloured c(x): take
+    a != y among the first two and d != x among the second two; a != d because
+    c(a) = c(y) != c(x) = c(d), so a-x-y-d is the path.  A bicoloured cycle
+    contains a bicoloured P4, so one pass over the edges decides it.
+    """
     _check_domain(g, c)
-    if not is_proper(g, c):
-        return False
-    classes = c.colour_classes()
-    for i in range(c.k):
-        for j in range(i + 1, c.k):
-            members = classes[i] + classes[j]
-            if len(members) < 4:
-                continue
-            in_union = set(members)
-            seen: set[int] = set()
-            for s in members:
-                if s in seen:
-                    continue
-                # walk the component of G[V_i u V_j] containing s
-                comp = [s]
-                seen.add(s)
-                stack = [s]
-                edge_count = 0
-                big = 0  # vertices of degree >= 2 inside the component
-                while stack:
-                    u = stack.pop()
-                    deg_in = 0
-                    for w in g.neighbours(u):
-                        if w in in_union:
-                            deg_in += 1
-                            edge_count += 1
-                            if w not in seen:
-                                seen.add(w)
-                                comp.append(w)
-                                stack.append(w)
-                    if deg_in >= 2:
-                        big += 1
-                edge_count //= 2
-                if edge_count > len(comp) - 1 or big > 1:
-                    return False
-    return True
+    colours = c.colours
+    off, tgt = g.offsets, g.targets
+    repeated: list[set[int]] = []  # colours on two or more neighbours of each vertex
+    for v in range(g.n):
+        seen: set[int] = set()
+        twice: set[int] = set()
+        for u in tgt[off[v]:off[v + 1]]:
+            cu = colours[u]
+            if cu in seen:
+                twice.add(cu)
+            seen.add(cu)
+        if colours[v] in seen:
+            return False  # monochromatic edge
+        repeated.append(twice)
+    return not any(
+        colours[y] in repeated[x] and colours[x] in repeated[y] for x, y in g.edges()
+    )
 
 
 def is_ordered(g: Graph, c: Colouring) -> bool:

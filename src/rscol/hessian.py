@@ -137,25 +137,6 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
     return result
 
 
-def greedy_distance_two_colouring(g: Graph, order: str = "natural") -> Colouring:
-    """Greedy distance-two colouring over the same orders; an upper-bound
-    companion for the rs greedy."""
-    colours = [-1] * g.n
-    for v in _vertex_order(g, order):
-        banned = set()
-        for u in g.neighbours(v):
-            if colours[u] >= 0:
-                banned.add(colours[u])
-            for w in g.neighbours(u):
-                if w != v and colours[w] >= 0:
-                    banned.add(colours[w])
-        col = 0
-        while col in banned:
-            col += 1
-        colours[v] = col
-    return Colouring.of(colours)
-
-
 def compress(
     h: np.ndarray, s: SeedGrouping, pattern: SparsityPattern | None = None
 ) -> np.ndarray:

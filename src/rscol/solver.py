@@ -2,11 +2,13 @@
 
 These are the ground truth the fast testers are measured against; they favour
 correctness and strong propagation over raw speed.  rs and star colourings are
-decided by backtracking: up to roughly 40 vertices for 3-rs decisions, ~10
-vertices for their chromatic numbers.  Ordered colourings are decided through
-treedepth by an exact DP over connected vertex subsets held as int bitmasks:
-up to about 25 vertices on sparse graphs and about 16 on dense ones, where
-budget nodes count DP subproblems.
+decided by one backtracking engine, `_run`: up to roughly 40 vertices for 3-rs
+decisions, ~10 vertices for their chromatic numbers.  Its star rule is checked
+per edge: a proper colouring has a bicoloured P4 exactly when some edge xy has
+two neighbours of x coloured c(y) and two of y coloured c(x).  Ordered
+colourings are decided through treedepth by an exact DP over connected vertex
+subsets held as int bitmasks: up to about 25 vertices on sparse graphs and
+about 16 on dense ones, where budget nodes count DP subproblems.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ class _BudgetHit(Exception):
 
 
 class _Search:
-    """Backtracking over vertex colour assignments with a pluggable feasibility rule.
+    """Backtracking state: colours, per-vertex colour counts and the feasibility rules.
 
     Vertex selection is dynamic: most coloured neighbours first, then highest
-    degree, then lowest index.  The rs rule is checked incrementally via
+    degree, then lowest index.  Both rules are checked incrementally via
     per-vertex counts of neighbours in each colour class.
     """
 
@@ -116,6 +118,27 @@ class _Search:
                 return False  # u would gain a second neighbour coloured col
         return True
 
+    def star_feasible(self, v: int, col: int) -> bool:
+        """Would v coloured col keep the colouring proper with no bicoloured P4
+        through v?  Such a P4 has a middle edge xy with two neighbours of x
+        coloured c(y) and two of y coloured c(x).  Colouring v raises only
+        cnt[a][col] at its neighbours a, so that edge is v-a or a-b, where a is
+        coloured and already has a neighbour b coloured col."""
+        cnt, colour = self.cnt, self.colour
+        cnt_v = cnt[v]
+        if cnt_v[col]:
+            return False  # monochromatic edge
+        for a in self.adj[v]:
+            ca = colour[a]
+            if ca == -1 or not cnt[a][col]:
+                continue
+            if cnt_v[ca] > 1:
+                return False  # bicoloured P4 with middle edge v-a
+            for b in self.adj[a]:
+                if colour[b] == col and cnt[b][ca] > 1:
+                    return False  # bicoloured P4 with middle edge a-b
+        return True
+
 
 def _as_partial(g: Graph, k: int, pre: PartialColouring | None) -> list[tuple[int, int]]:
     if pre is None:
@@ -127,44 +150,49 @@ def _as_partial(g: Graph, k: int, pre: PartialColouring | None) -> list[tuple[in
     return [(v, c) for v, c in enumerate(pre.colours) if c is not None]
 
 
-def _run_rs(
+def _run(
     g: Graph,
     k: int,
+    kind: str,
     pre: PartialColouring | None,
     budget: SolveBudget,
     on_witness: Callable[[Colouring], bool],
 ) -> SolveResult:
-    """Shared engine: on_witness returns True to stop at this witness."""
+    """The one engine of rs and star search; on_witness returns True to stop at
+    this witness.  Star colour classes are unordered, so star search offers a
+    vertex only the colours in use plus one new colour."""
     s = _Search(g, k, budget)
+    feasible = s.rs_feasible if kind == "rs" else s.star_feasible
+    unordered = kind == "star"
     try:
-        for v, c in _as_partial(g, k, pre):
-            if not s.rs_feasible(v, c):
+        fixed = _as_partial(g, k, pre)
+        for v, c in fixed:
+            if not feasible(v, c):
                 return SolveResult(SolveStatus.NO, nodes=s.nodes)
             s.place(v, c)
         remaining = s.colour.count(-1)
 
-        def search(depth: int) -> bool:
+        def search(depth: int, used: int) -> bool:
             if depth == remaining:
-                witness = Colouring(tuple(s.colour), k)
-                return on_witness(witness)
+                return on_witness(Colouring(tuple(s.colour), k))
             v = s.next_vertex()
-            for col in range(k):
-                if s.rs_feasible(v, col):
+            for col in range(min(k, used + 1) if unordered else k):
+                if feasible(v, col):
                     s.place(v, col)
-                    if search(depth + 1):
+                    if search(depth + 1, max(used, col + 1)):
                         return True
                     s.unplace(v, col)
             return False
 
-        found = search(0)
+        found = search(0, max((c + 1 for _, c in fixed), default=0))
     except _BudgetHit:
         return SolveResult(SolveStatus.BUDGET_EXCEEDED, nodes=s.nodes)
     if found:
         witness = Colouring(tuple(s.colour), k)
-        if not is_rs(g, witness):
-            raise RuntimeError("rs search produced a colouring that is not rs")
+        if not (is_rs if kind == "rs" else is_star)(g, witness):
+            raise RuntimeError(f"{kind} search produced a colouring that is not {kind}")
         if pre is not None and not pre.is_extended_by(witness):
-            raise RuntimeError("rs search produced a colouring that drops the precolouring")
+            raise RuntimeError(f"{kind} search produced a colouring that drops the precolouring")
         return SolveResult(SolveStatus.YES, witness=witness, nodes=s.nodes)
     return SolveResult(SolveStatus.NO, nodes=s.nodes)
 
@@ -181,7 +209,7 @@ def decide_k_rs(
     """
     if k < 1:
         return SolveResult(SolveStatus.NO if g.n else SolveStatus.YES)
-    return _run_rs(g, k, pre, budget, on_witness=lambda w: True)
+    return _run(g, k, "rs", pre, budget, on_witness=lambda w: True)
 
 
 def enumerate_k_rs(
@@ -200,7 +228,7 @@ def enumerate_k_rs(
         found.append(w)
         return False  # keep searching
 
-    result = _run_rs(g, k, pre, budget, on_witness=collect)
+    result = _run(g, k, "rs", pre, budget, on_witness=collect)
     if result.status is SolveStatus.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"enumeration exceeded budget after {result.nodes} nodes")
     yield from found
@@ -229,89 +257,11 @@ def rs_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:
     return _chromatic(g, lambda k: decide_k_rs(g, k, budget=budget), is_rs)
 
 
-# -- star colouring ------------------------------------------------------------
-
-
-def decide_k_star(
-    g: Graph,
-    k: int,
-    budget: SolveBudget = DEFAULT_BUDGET,
-    symmetry_breaking: bool = True,
-) -> SolveResult:
-    """Is there a k-star colouring of g?
-
-    Colour classes are unordered for star colourings, so colour-symmetry
-    breaking (new vertex limited to used colours + 1) is sound here; rs and
-    ordered colourings attach meaning to colour values and get none.
-    """
+def decide_k_star(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> SolveResult:
+    """Is there a k-star colouring of g?"""
     if k < 1:
         return SolveResult(SolveStatus.NO if g.n else SolveStatus.YES)
-    s = _Search(g, k, budget)
-    colour, adj = s.colour, s.adj
-
-    def creates_bicoloured_p4(v: int, col: int) -> bool:
-        # all 4-vertex paths through v using only coloured vertices
-        for a in adj[v]:
-            ca = colour[a]
-            if ca == -1:
-                continue
-            for b in adj[a]:
-                cb = colour[b]
-                if b == v or cb == -1:
-                    continue
-                for d in adj[b]:
-                    cd = colour[d]
-                    if d == a or d == v or cd == -1:
-                        continue
-                    # path v,a,b,d
-                    if cb == col and ca == cd and ca != col:
-                        return True
-                # path d,v,a,b with v internal: handled when d was placed or below
-            for b in adj[v]:
-                cb = colour[b]
-                if b == a or cb == -1:
-                    continue
-                if ca != cb:
-                    continue
-                # path a,v,b + one more step from b
-                for d in adj[b]:
-                    cd = colour[d]
-                    if d == v or d == a or cd == -1:
-                        continue
-                    if cd == col and ca != col:
-                        return True
-        return False
-
-    def feasible(v: int, col: int) -> bool:
-        if s.cnt[v][col]:
-            return False
-        return not creates_bicoloured_p4(v, col)
-
-    try:
-        used = 0
-
-        def search(depth: int, used: int) -> bool:
-            if depth == g.n:
-                return True
-            v = s.next_vertex()
-            limit = min(k, used + 1) if symmetry_breaking else k
-            for col in range(limit):
-                if feasible(v, col):
-                    s.place(v, col)
-                    if search(depth + 1, max(used, col + 1)):
-                        return True
-                    s.unplace(v, col)
-            return False
-
-        found = search(0, used)
-    except _BudgetHit:
-        return SolveResult(SolveStatus.BUDGET_EXCEEDED, nodes=s.nodes)
-    if found:
-        witness = Colouring(tuple(colour), k)
-        if not is_star(g, witness):
-            raise RuntimeError("star search produced a colouring that is not star")
-        return SolveResult(SolveStatus.YES, witness=witness, nodes=s.nodes)
-    return SolveResult(SolveStatus.NO, nodes=s.nodes)
+    return _run(g, k, "star", None, budget, on_witness=lambda w: True)
 
 
 def star_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from rscol.chordal3rs import ChordalTestResult, NotChordalError
-from rscol.colouring import Colouring, is_ordered, is_rs
+from rscol.colouring import Colouring, _check_domain, is_ordered, is_proper, is_rs
 from rscol.graph import (
     Edge,
     Graph,
@@ -27,7 +27,7 @@ from rscol.graph import (
     list_triangles,
     write_text,
 )
-from rscol.hessian import PatternError, SeedGrouping
+from rscol.hessian import PatternError, SeedGrouping, _vertex_order
 from rscol.solver import (
     DEFAULT_BUDGET,
     SolveBudget,
@@ -96,6 +96,89 @@ def rs_violations_by_paths(g: Graph, c: Colouring) -> bool:
                 if x < z and c[x] == c[z] and c[y] > c[x]:
                     return False
     return True
+
+
+# -- star oracles ---------------------------------------------------------------
+# The checks that rscol.colouring.is_star and the star search used before the
+# per-edge rule replaced them.
+
+
+def class_pair_is_star(g: Graph, c: Colouring) -> bool:
+    """Proper with no bicoloured P4: every pair of colour classes induces a star
+    forest, checked by walking each component of each two-class subgraph."""
+    _check_domain(g, c)
+    if not is_proper(g, c):
+        return False
+    classes = c.colour_classes()
+    for i in range(c.k):
+        for j in range(i + 1, c.k):
+            members = classes[i] + classes[j]
+            if len(members) < 4:
+                continue
+            in_union = set(members)
+            seen: set[int] = set()
+            for s in members:
+                if s in seen:
+                    continue
+                # walk the component of G[V_i u V_j] containing s
+                comp = [s]
+                seen.add(s)
+                stack = [s]
+                edge_count = 0
+                big = 0  # vertices of degree >= 2 inside the component
+                while stack:
+                    u = stack.pop()
+                    deg_in = 0
+                    for w in g.neighbours(u):
+                        if w in in_union:
+                            deg_in += 1
+                            edge_count += 1
+                            if w not in seen:
+                                seen.add(w)
+                                comp.append(w)
+                                stack.append(w)
+                    if deg_in >= 2:
+                        big += 1
+                edge_count //= 2
+                if edge_count > len(comp) - 1 or big > 1:
+                    return False
+    return True
+
+
+def creates_bicoloured_p4(adj: list[list[int]], colour: list[int], v: int, col: int) -> bool:
+    """Would colouring the uncoloured v with col close a bicoloured P4 through v?
+    Walks every 4-vertex path through v over coloured vertices (-1 = uncoloured)."""
+    # all 4-vertex paths through v using only coloured vertices
+    for a in adj[v]:
+        ca = colour[a]
+        if ca == -1:
+            continue
+        for b in adj[a]:
+            cb = colour[b]
+            if b == v or cb == -1:
+                continue
+            for d in adj[b]:
+                cd = colour[d]
+                if d == a or d == v or cd == -1:
+                    continue
+                # path v,a,b,d
+                if cb == col and ca == cd and ca != col:
+                    return True
+            # path d,v,a,b with v internal: handled when d was placed or below
+        for b in adj[v]:
+            cb = colour[b]
+            if b == a or cb == -1:
+                continue
+            if ca != cb:
+                continue
+            # path a,v,b + one more step from b
+            for d in adj[b]:
+                cd = colour[d]
+                if d == v or d == a or cd == -1:
+                    continue
+                if cd == col and ca != col:
+                    return True
+    return False
 
 
 def brute_force_min_colours(g: Graph, accept) -> int:
@@ -531,10 +614,9 @@ def line_parsed_graph(lines, source: str = "<graph>") -> Graph:
     edges: list[Edge] = []
     declared_m = 0
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n != -1:
                 raise GraphError(f"{source}:{lineno}: duplicate problem line")
@@ -565,6 +647,25 @@ def line_parsed_graph(lines, source: str = "<graph>") -> Graph:
     if len(edges) != declared_m:
         raise GraphError(f"{source}: declared {declared_m} edges, found {len(edges)}")
     return set_built_graph(n, edges)
+
+
+def greedy_distance_two_colouring(g: Graph, order: str = "natural") -> Colouring:
+    """Greedy distance-two colouring over the orders of
+    rscol.hessian.greedy_rs_colouring; an upper-bound companion for the rs greedy."""
+    colours = [-1] * g.n
+    for v in _vertex_order(g, order):
+        banned = set()
+        for u in g.neighbours(v):
+            if colours[u] >= 0:
+                banned.add(colours[u])
+            for w in g.neighbours(u):
+                if w != v and colours[w] >= 0:
+                    banned.add(colours[w])
+        col = 0
+        while col in banned:
+            col += 1
+        colours[v] = col
+    return Colouring.of(colours)
 
 
 # -- Hessian pattern oracle -----------------------------------------------------------

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 import helpers
 from rscol import cli
 from rscol.colouring import Colouring, is_rs, parse_colouring, write_colouring_file
-from rscol.graph import Graph, star_graph, write_graph_file
+from rscol.graph import Graph, path_graph, star_graph, write_graph_file
 from rscol.hessian import read_dense_csv, read_matrix_market
 
 
@@ -142,6 +144,16 @@ class TestSolve:
             c = parse_colouring(fh, 16)
         assert is_rs(g, Colouring.of(c.colours, k=4))
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_no_colours_is_no_for_any_threads(self, tmp_path, capsys, threads, k):
+        write_graph_file(path_graph(3), str(tmp_path / "p3.gr"))
+        code, token, _ = run_cli(
+            capsys, "solve", "--task", "decide-rs", "-g", tmp_path / "p3.gr", "-k", k,
+            "--threads", threads,
+        )
+        assert (code, token) == (1, "NO")
+
     def test_dot_export_flag(self, workdir, capsys):
         dot = workdir / "dart.dot"
         code, token, _ = run_cli(
@@ -150,6 +162,36 @@ class TestSolve:
         )
         assert (code, token) == (0, "YES")
         assert dot.read_text().count("--") == 6
+
+
+class TestDeepSearch:
+    # the rs, star and MIS searches recurse once per vertex, so a graph deeper
+    # than the interpreter's recursion limit gets an ERROR, never a traceback
+    def test_decide_rs_on_long_path(self, tmp_path, capsys):
+        write_graph_file(path_graph(1500), str(tmp_path / "p1500.gr"))
+        code, token, out = run_cli(
+            capsys, "solve", "--task", "decide-rs", "-g", tmp_path / "p1500.gr", "-k", "3"
+        )
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1] == "graph too large for exact search"
+
+    def test_mis_on_isolated_vertices(self, tmp_path, capsys):
+        # each MIS node costs time quadratic in the candidates left, so the
+        # limit is lowered to 250 frames above this test instead of giving
+        # the search a graph of over 1000 vertices
+        write_graph_file(Graph.from_edge_list(350, []), str(tmp_path / "iso.gr"))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 250)
+        try:
+            code = cli.run(["solve", "--task", "mis", "-g", str(tmp_path / "iso.gr")])
+        finally:
+            sys.setrecursionlimit(limit)
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.splitlines() == ["RESULT: ERROR", "graph too large for exact search"]
 
 
 class TestTreeAndChordal:

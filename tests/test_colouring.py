@@ -2,6 +2,8 @@ import io
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from rscol.colouring import (
@@ -68,6 +70,25 @@ class TestRs:
 class TestStar:
     def test_c4_alternating_rejected(self):
         assert not is_star(cycle_graph(4), Colouring.of([0, 1, 0, 1], k=2))
+
+    def test_matches_class_pair_oracle(self, rng):
+        # random colourings, improper ones included, and random proper ones
+        outcomes = set()
+        for _ in range(1500):
+            n = rng.randint(1, 9)
+            g = helpers.random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng)
+            k = rng.randint(1, 5)
+            colours = [rng.randrange(k) for _ in range(n)]
+            if rng.random() < 0.7:
+                for v in rng.sample(range(n), n):
+                    taken = {colours[u] for u in g.neighbours(v)}
+                    free = [c for c in range(n) if c not in taken]
+                    colours[v] = rng.choice(free[:k + 1])
+            c = Colouring.of(colours)
+            expected = helpers.class_pair_is_star(g, c)
+            assert is_star(g, c) == expected
+            outcomes.add((is_proper(g, c), expected))
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
     def test_every_rs_colouring_is_star(self, rng):
         found = 0
@@ -262,6 +283,16 @@ class TestFileFormat:
         c = helpers.dart_colouring()
         again = parse_colouring(io.StringIO(format_colouring(c)), 5)
         assert again.colours == c.colours
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=30))
+    @example([])
+    @example([0])
+    @example([3])
+    def test_parse_inverts_format(self, colours):
+        # parse_colouring takes k from the largest colour, as Colouring.of does
+        c = Colouring.of(colours)
+        assert parse_colouring(io.StringIO(format_colouring(c)), len(c)) == c
 
     def test_errors(self):
         with pytest.raises(ColouringError, match=":1"):

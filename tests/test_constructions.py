@@ -3,6 +3,8 @@ import itertools
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from rscol.colouring import Colouring, is_ordered, is_proper, is_rs
@@ -256,11 +258,27 @@ class TestSatGadgets:
         assert decide_k_rs(gg.graph, 3).status is SolveStatus.NO
 
 
+@st.composite
+def positive_cnfs(draw) -> PositiveCnf:
+    num_vars = draw(st.integers(1, 9))
+    if num_vars < 3:
+        return PositiveCnf.of(num_vars, [])
+    clause = st.lists(st.integers(1, num_vars), min_size=3, max_size=3, unique=True)
+    return PositiveCnf.of(num_vars, draw(st.lists(clause, max_size=12)))
+
+
 class TestCnfFormat:
     def test_roundtrip(self):
         f = helpers.unsat_cubic_formula()
         again = parse_cnf(io.StringIO(format_cnf(f)))
         assert again == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(positive_cnfs())
+    @example(PositiveCnf.of(1, []))
+    @example(PositiveCnf.of(9, []))
+    def test_parse_inverts_format(self, f):
+        assert parse_cnf(io.StringIO(format_cnf(f))) == f
 
     def test_rejects_negative_literal_with_line(self):
         with pytest.raises(CnfError, match=":2"):

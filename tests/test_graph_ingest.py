@@ -74,6 +74,7 @@ def respell(value: int, how: int) -> str:
 BAD_LINES = [
     "e 1", "e 1 2 3", "e x 2", "e 1.5 2", "e 0x1 2", "e 1e3 2", "q 1 2", "E 1 2",
     "p edge 3", "p edges 3 3", "p edge x 3", "p edge 3 y", "p edge 3 1", "%", "1 2",
+    "cx 1 2", "c1 2",
 ]
 
 # whitespace that str.split splits at: inside a line it separates tokens, and

@@ -16,7 +16,6 @@ from rscol.hessian import (
     SeedGrouping,
     SparsityPattern,
     compress,
-    greedy_distance_two_colouring,
     greedy_rs_colouring,
     parse_matrix_market,
     pattern_to_graph,
@@ -92,7 +91,7 @@ class TestGreedy:
             for order in ("natural", "largest_degree_first"):
                 c = greedy_rs_colouring(g, order)
                 assert is_rs(g, c)
-                d2 = greedy_distance_two_colouring(g, order)
+                d2 = helpers.greedy_distance_two_colouring(g, order)
                 assert rs_chromatic_number(g) <= c.k <= d2.k
 
     def test_unknown_order(self):

@@ -16,6 +16,7 @@ from rscol.solver import (
     BudgetExceededError,
     SolveBudget,
     SolveStatus,
+    _Search,
     decide_k_ordered,
     decide_k_rs,
     decide_k_star,
@@ -178,12 +179,45 @@ class TestChromaticNumbers:
 
 class TestStarSymmetryBreaking:
     def test_same_decisions_with_and_without(self, rng):
-        for _ in range(50):
-            g = helpers.random_graph(rng.randint(1, 8), 0.4, rng)
+        # star search offers each vertex the colours in use plus one new colour;
+        # the brute force over all k^n assignments breaks no symmetry
+        outcomes = set()
+        for _ in range(150):
+            g = helpers.random_graph(rng.randint(1, 7), 0.5, rng)
             k = rng.randint(1, 4)
-            with_sb = decide_k_star(g, k, symmetry_breaking=True).status
-            without = decide_k_star(g, k, symmetry_breaking=False).status
-            assert with_sb == without
+            result = decide_k_star(g, k)
+            expected = helpers.brute_force_exists(g, k, helpers.class_pair_is_star)
+            assert (result.status is SolveStatus.YES) == expected
+            if expected:
+                assert helpers.class_pair_is_star(g, result.witness)
+            outcomes.add(expected)
+        assert outcomes == {False, True}
+
+
+class TestStarFeasible:
+    def test_matches_path_walk_oracle(self, rng):
+        # random proper partial colourings placed through _Search, so that the
+        # counts star_feasible reads are the search's own
+        outcomes = set()
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            g = helpers.random_graph(n, rng.choice([0.3, 0.5, 0.7]), rng)
+            k = rng.randint(1, 5)
+            s = _Search(g, k, SolveBudget())
+            for v in rng.sample(range(n), rng.randint(n // 2, n)):
+                free = [c for c in range(k) if not s.cnt[v][c]]
+                if free:
+                    s.place(v, rng.choice(free))
+            for v in range(n):
+                if s.colour[v] != -1:
+                    continue
+                for col in range(k):
+                    expected = not s.cnt[v][col] and not helpers.creates_bicoloured_p4(
+                        s.adj, s.colour, v, col
+                    )
+                    assert s.star_feasible(v, col) == expected
+                    outcomes.add((bool(s.cnt[v][col]), expected))
+        assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 class TestOrderedDecision:
