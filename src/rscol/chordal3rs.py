@@ -19,13 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import (
-    Graph,
-    component_subgraphs,
-    is_chordal,
-    is_tree,
-    list_triangles,
-)
+from .graph import Graph, component_subgraphs, is_chordal, list_triangles
 from .tree3rs import TreeTestResult, test_3rs_tree
 
 
@@ -96,7 +90,7 @@ def test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalTestResult
         raise NotChordalError("input graph is not chordal")
     result = ChordalTestResult(True)
     for sub, comp in component_subgraphs(g):
-        if is_tree(sub):
+        if sub.m == sub.n - 1:  # a connected component: the edge count settles it
             tree = sub
         else:
             trace = eliminate_triangles(sub)

@@ -139,16 +139,6 @@ def _cmd_solve(args) -> int:
         return EXIT_BUDGET
 
 
-def _decide_rs_worker(payload):
-    n, edges, k, fixed, max_nodes, time_limit = payload
-    g = graph.Graph.from_edge_list(n, edges)
-    pre = colouring.PartialColouring.of(n, fixed, k)
-    budget = solver.SolveBudget(max_nodes=max_nodes, time_limit=time_limit)
-    result = solver.decide_k_rs(g, k, pre=pre, budget=budget)
-    witness = None if result.witness is None else result.witness.colours
-    return result.status.value, result.nodes, witness
-
-
 def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
     if threads <= 1 or g.n == 0 or k < 1:
         return solver.decide_k_rs(g, k, pre=pre, budget=budget)
@@ -161,20 +151,17 @@ def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
     if not free:
         return solver.decide_k_rs(g, k, pre=pre, budget=budget)
     root = max(free, key=g.degree)
-    payloads = [
-        (g.n, list(g.edges()), k, {**fixed, root: col}, budget.max_nodes, budget.time_limit)
-        for col in range(k)
-    ]
+    jobs = [(g, k, colouring.PartialColouring.of(g.n, {**fixed, root: col}, k), budget)
+            for col in range(k)]
     with multiprocessing.Pool(min(threads, k)) as pool:
-        outcomes = pool.map(_decide_rs_worker, payloads)
-    nodes = sum(n for _, n, _ in outcomes)
-    for status, _, colours in outcomes:  # in root-colour order
-        if status == "yes":
-            witness = colouring.Colouring(colours, k)
-            if not colouring.is_rs(g, witness):
+        outcomes = pool.starmap(solver.decide_k_rs, jobs)
+    nodes = sum(r.nodes for r in outcomes)
+    for r in outcomes:  # in root-colour order
+        if r.status is solver.SolveStatus.YES:
+            if not colouring.is_rs(g, r.witness):
                 raise RuntimeError("a decide-rs worker returned a colouring that is not rs")
-            return solver.SolveResult(solver.SolveStatus.YES, witness=witness, nodes=nodes)
-    if any(status == "budget_exceeded" for status, _, _ in outcomes):
+            return solver.SolveResult(solver.SolveStatus.YES, witness=r.witness, nodes=nodes)
+    if any(r.status is solver.SolveStatus.BUDGET_EXCEEDED for r in outcomes):
         return solver.SolveResult(solver.SolveStatus.BUDGET_EXCEEDED, nodes=nodes)
     return solver.SolveResult(solver.SolveStatus.NO, nodes=nodes)
 

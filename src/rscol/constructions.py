@@ -14,7 +14,6 @@ from .graph import (
     Graph,
     GraphError,
     VertexId,
-    connected_components,
     read_text,
     subdivide_all_edges,
     write_text,
@@ -75,15 +74,15 @@ def enumerate_one_in_three_assignments(f: PositiveCnf) -> list[dict[int, bool]]:
 
 
 def decide_2_rs(g: Graph) -> bool:
-    """2-rs colourable iff every component is a star K_{1,p}."""
-    for comp in connected_components(g):
-        comp_set = set(comp)
-        edge_count = sum(1 for v in comp for w in g.neighbours(v) if w in comp_set) // 2
-        if edge_count != len(comp) - 1:
-            return False  # has a cycle
-        if sum(1 for v in comp if g.degree(v) >= 2) > 1:
-            return False  # a tree that is not a star
-    return True
+    """2-rs colourable iff every component is a star K_{1,p}, that is, iff
+    every edge has an endpoint of degree 1.
+
+    In a star every edge joins the centre to a leaf.  Conversely, take a
+    component with a vertex of degree >= 2: all its neighbours have degree 1,
+    so the component is that vertex and its leaves.  A component with only
+    degree-1 vertices is K2, and an isolated vertex is K_{1,0}.
+    """
+    return all(g.degree(u) == 1 or g.degree(v) == 1 for u, v in g.edges())
 
 
 def g_plus(g: Graph) -> Graph:
@@ -473,6 +472,8 @@ def parse_cnf(lines: Iterable[str], source: str = "<cnf>") -> PositiveCnf:
             if num_vars < 0 or declared < 0:
                 problem = "negative variable count" if num_vars < 0 else "negative clause count"
                 raise CnfError(f"{source}:{lineno}: {problem}")
+            if num_vars == 0:
+                raise CnfError(f"{source}:{lineno}: formula needs at least one variable")
             continue
         if num_vars == -1:
             raise CnfError(f"{source}:{lineno}: clause before problem line")

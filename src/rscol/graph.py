@@ -378,56 +378,28 @@ def is_chordal(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """A tree with parent/children structure from BFS at `root`.
-
-    parent and children are plain lists for speed at the million-vertex
-    scale; treat them as read-only.
-    """
+    """A tree and one of its 3-plus vertices as the root."""
 
     graph: Graph
     root: VertexId
-    parent: list[int]  # parent[root] = -1
-    children: list[list[int]]
-
-
-def root_tree(g: Graph, root: VertexId) -> RootedTree:
-    """Root a tree at an arbitrary vertex via BFS (single pass, validates)."""
-    if g.n < 1 or g.m != g.n - 1:
-        raise GraphError("input graph is not a tree")
-    off, tgt = g.offsets, g.targets
-    parent = [-1] * g.n
-    seen = bytearray(g.n)
-    seen[root] = 1
-    order = [root]
-    for u in order:
-        for w in tgt[off[u]:off[u + 1]]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = u
-                order.append(w)
-    if len(order) != g.n:
-        raise GraphError("input graph is not a tree")
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    return RootedTree(g, root, parent, children)
 
 
 def root_at_3plus(g: Graph, root: VertexId | None = None) -> RootedTree:
     """Root a tree at a 3-plus vertex (lowest-indexed by default).
 
-    Raises GraphError if the tree has no vertex of degree >= 3 (a path);
-    callers must special-case paths.
+    Raises GraphError, in this order, if the given root is not a 3-plus
+    vertex, if g is not a tree, or if the tree has no vertex of degree >= 3 (a
+    path); callers must special-case paths.
     """
     if root is None:
-        root = next((v for v in range(g.n) if g.degree(v) >= 3), -1)
-        if root == -1:
-            if not is_tree(g):
-                raise GraphError("input graph is not a tree")
-            raise GraphError("no 3-plus vertex: tree is a path")
-    elif g.degree(root) < 3:
+        root = next((v for v in range(g.n) if g.degree(v) >= 3), None)
+    elif not (0 <= root < g.n and g.degree(root) >= 3):
         raise GraphError(f"requested root {root} is not a 3-plus vertex")
-    return root_tree(g, root)  # validates tree-ness itself
+    if not is_tree(g):
+        raise GraphError("input graph is not a tree")
+    if root is None:
+        raise GraphError("no 3-plus vertex: tree is a path")
+    return RootedTree(g, root)
 
 
 # -- graph surgery ---------------------------------------------------------
@@ -481,10 +453,6 @@ def complete_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """K_{1,p}: centre 0 and `leaves` pendant vertices."""
     return Graph.from_edge_list(leaves + 1, [(0, i + 1) for i in range(leaves)])
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph.from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def hypercube_graph(d: int) -> Graph:

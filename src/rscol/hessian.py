@@ -137,12 +137,10 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
     return result
 
 
-def compress(
-    h: np.ndarray, s: SeedGrouping, pattern: SparsityPattern | None = None
-) -> np.ndarray:
+def compress(h: np.ndarray, s: SeedGrouping, pattern: SparsityPattern) -> np.ndarray:
     """Compressed product B = H . S, where S has one indicator column per group.
 
-    When a pattern is given, entries outside it are rejected.
+    Entries outside the pattern are rejected.
     """
     a = np.asarray(h, dtype=float)
     n = len(s.colouring)
@@ -150,16 +148,15 @@ def compress(
         raise PatternError(f"matrix shape {a.shape} does not match grouping on {n} columns")
     if not np.array_equal(a, a.T):
         raise PatternError("matrix is not symmetric")
-    if pattern is not None:
-        if pattern.n != n:
-            raise PatternError("grouping and pattern dimensions differ")
-        # a is symmetric, so the first stray entry in row-major order lies above the diagonal
-        outside = a != 0
-        outside[pattern.rows, pattern.cols] = outside[pattern.cols, pattern.rows] = False
-        np.fill_diagonal(outside, False)
-        if outside.any():
-            i, j = divmod(int(outside.argmax()), n)
-            raise PatternError(f"nonzero entry ({i},{j}) outside the sparsity pattern")
+    if pattern.n != n:
+        raise PatternError("grouping and pattern dimensions differ")
+    # a is symmetric, so the first stray entry in row-major order lies above the diagonal
+    outside = a != 0
+    outside[pattern.rows, pattern.cols] = outside[pattern.cols, pattern.rows] = False
+    np.fill_diagonal(outside, False)
+    if outside.any():
+        i, j = divmod(int(outside.argmax()), n)
+        raise PatternError(f"nonzero entry ({i},{j}) outside the sparsity pattern")
     return a @ np.eye(s.k)[np.array(s.colouring.colours, dtype=np.intp)]
 
 

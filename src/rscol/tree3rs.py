@@ -130,28 +130,24 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
     a 3-plus vertex are paths and always colourable.  Decision-only: witnesses
     come from the exact solver.
     """
-    if isinstance(t, RootedTree):
-        g, root = t.graph, t.root
-        if g.degree(root) < 3:
-            if g.max_degree() < 3:
-                return TreeTestResult(True, visited=0)  # a path
+    g, root = (t.graph, t.root) if isinstance(t, RootedTree) else (t, None)
+    if g.n < 1 or g.m != g.n - 1:
+        raise GraphError("input graph is not a tree")
+    off = g.offsets
+    if root is None:
+        root = next((v for v in range(g.n) if off[v + 1] - off[v] >= 3), None)
+    if root is None or not (0 <= root < g.n and off[root + 1] - off[root] >= 3):
+        if g.max_degree() >= 3:
             raise GraphError("rooted input must use a 3-plus root")
-    else:
-        g = t
-        if g.n < 1 or g.m != g.n - 1:
+        if not is_tree(g):
             raise GraphError("input graph is not a tree")
-        off = g.offsets
-        root = next((v for v in range(g.n) if off[v + 1] - off[v] >= 3), -1)
-        if root == -1:
-            if not is_tree(g):
-                raise GraphError("input graph is not a tree")
-            return TreeTestResult(True, visited=0)  # a path
+        return TreeTestResult(True, visited=0)  # a path
 
     # Single post-order pass; frames carry their own parent so no BFS rooting
     # pass is needed.  m = n-1 was checked above, so visiting all n vertices
     # exactly once certifies tree-ness; a cycle would push `visited` past n.
     n = g.n
-    off, tgt = g.offsets, g.targets
+    tgt = g.targets
     colour = [-1] * n  # colour forced at a vertex by a branch below it: -1 none, else 0/1
     ccount = [0] * n  # class C branches below each vertex
     ecount = [0] * n  # class E branches below each vertex

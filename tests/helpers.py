@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -30,6 +31,7 @@ from rscol.graph import (
 from rscol.hessian import PatternError, SeedGrouping, _vertex_order
 from rscol.solver import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     SolveBudget,
     SolveResult,
     SolveStatus,
@@ -272,6 +274,50 @@ def brute_max_independent_set_size(g: Graph) -> int:
             if all(w not in members for v in subset for w in g.neighbours(v)):
                 return r
     return best
+
+
+def set_max_independent_set(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> list[int]:
+    """The branch and bound ``solver.max_independent_set`` ran over Python sets
+    before it moved to bitmasks: same branch rule, search tree and node count,
+    at a cost quadratic in the candidates per node."""
+    adj = [set(g.neighbours(v)) for v in range(g.n)]
+    best: list[int] = []
+    nodes = 0
+    deadline = time.monotonic() + budget.time_limit
+
+    def grow(chosen: list[int], candidates: list[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget.max_nodes or (nodes % 4096 == 0 and time.monotonic() > deadline):
+            raise _BudgetHit
+        if len(chosen) + len(candidates) <= len(best):
+            return
+        if not candidates:
+            best = list(chosen)
+            return
+        v = max(candidates, key=lambda u: sum(1 for w in candidates if w in adj[u]))
+        rest = [u for u in candidates if u != v]
+        grow(chosen + [v], [u for u in rest if u not in adj[v]])
+        grow(chosen, rest)
+
+    try:
+        grow([], list(range(g.n)))
+    except _BudgetHit:
+        raise BudgetExceededError(f"MIS search exceeded budget after {nodes} nodes") from None
+    return sorted(best)
+
+
+def component_decide_2_rs(g: Graph) -> bool:
+    """2-rs colourability checked per component: a tree with at most one
+    vertex of degree >= 2 (the form ``decide_2_rs`` had before its edge rule)."""
+    for comp in connected_components(g):
+        comp_set = set(comp)
+        edge_count = sum(1 for v in comp for w in g.neighbours(v) if w in comp_set) // 2
+        if edge_count != len(comp) - 1:
+            return False  # has a cycle
+        if sum(1 for v in comp if g.degree(v) >= 2) > 1:
+            return False  # a tree that is not a star
+    return True
 
 
 def brute_girth(g: Graph):

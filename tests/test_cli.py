@@ -176,9 +176,8 @@ class TestDeepSearch:
         assert out.splitlines()[1] == "graph too large for exact search"
 
     def test_mis_on_isolated_vertices(self, tmp_path, capsys):
-        # each MIS node costs time quadratic in the candidates left, so the
-        # limit is lowered to 250 frames above this test instead of giving
-        # the search a graph of over 1000 vertices
+        # the limit is lowered to 250 frames above this test, so that 350
+        # vertices are enough to reach it
         write_graph_file(Graph.from_edge_list(350, []), str(tmp_path / "iso.gr"))
         depth, frame = 0, sys._getframe()
         while frame is not None:

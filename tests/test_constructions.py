@@ -66,6 +66,28 @@ class TestDecide2Rs:
             g = helpers.random_graph(rng.randint(1, 7), 0.3, rng)
             assert decide_2_rs(g) == (decide_k_rs(g, 2).status is SolveStatus.YES)
 
+    def test_matches_component_oracle(self, rng):
+        # beyond the exact solver's reach: n up to 30, sparse enough to hold stars
+        for _ in range(400):
+            n = rng.randint(0, 30)
+            g = helpers.random_graph(n, rng.choice((0.02, 0.05, 0.1, 0.3)), rng)
+            assert decide_2_rs(g) == helpers.component_decide_2_rs(g), list(g.edges())
+
+    def test_star_forests_match_component_oracle(self, rng):
+        # unions of stars (all YES), then one extra edge (mostly NO)
+        for _ in range(200):
+            edges, n = [], 0
+            for _ in range(rng.randint(1, 6)):
+                leaves = rng.randint(0, 5)
+                edges += [(n, n + i + 1) for i in range(leaves)]
+                n += leaves + 1
+            g = Graph.from_edge_list(n, edges)
+            assert decide_2_rs(g) and helpers.component_decide_2_rs(g)
+            u, v = rng.sample(range(n), 2) if n >= 2 else (0, 0)
+            if u != v:
+                h = Graph.from_edge_list(n, edges + [(u, v)])
+                assert decide_2_rs(h) == helpers.component_decide_2_rs(h), list(h.edges())
+
 
 class TestGPlus:
     def test_c4(self):
@@ -298,6 +320,9 @@ class TestCnfFormat:
         ("p cnf -1 1\n1 2 3 0\n", "f:1: negative variable count"),
         ("p cnf -3 0\n", "f:1: negative variable count"),
         ("c note\np cnf 3 -1\n", "f:2: negative clause count"),
+        ("p cnf 0 0\n", "f:1: formula needs at least one variable"),
+        ("p cnf 0 1\n1 2 3 0\n", "f:1: formula needs at least one variable"),
+        ("p cnf 0 -1\n", "f:1: negative clause count"),
     ])
     def test_rejects_bad_problem_line_at_its_line(self, text, message):
         with pytest.raises(CnfError, match=f"^{re.escape(message)}$"):

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 
 import networkx as nx
 import numpy as np
@@ -261,12 +262,7 @@ class TestRooting:
     def test_worked_tree_rooted_at_top(self):
         tree = root_at_3plus(helpers.worked_tree(), root=helpers.WORKED_TREE_ROOT)
         assert tree.root == helpers.WORKED_TREE_ROOT
-        assert tree.parent[tree.root] == -1
-        # parent/children arrays reconstruct exactly the tree's edge set
-        rebuilt = sorted(
-            (min(v, p), max(v, p)) for v, p in enumerate(tree.parent) if p != -1
-        )
-        assert rebuilt == sorted(helpers.worked_tree().edges())
+        assert tree.graph == helpers.worked_tree()
 
     def test_star_centre(self):
         tree = root_at_3plus(star_graph(3))
@@ -280,21 +276,21 @@ class TestRooting:
         tree = root_at_3plus(helpers.worked_tree())
         assert tree.root == 2  # vertex C
 
-    def test_children_consistent_with_adjacency(self, rng):
-        for _ in range(20):
-            g = helpers.random_tree(rng.randint(4, 20), rng)
-            if g.max_degree() < 3:
-                continue
-            tree = root_at_3plus(g)
-            for v in range(g.n):
-                expected = [w for w in g.neighbours(v) if tree.parent[w] == v]
-                assert sorted(tree.children[v]) == sorted(expected)
-                for child in tree.children[v]:
-                    assert tree.parent[child] == v
-
     def test_non_tree_rejected(self):
         with pytest.raises(GraphError):
             root_at_3plus(helpers.dart())
+
+    @pytest.mark.parametrize("g, root, message", [
+        (helpers.dart(), 0, "requested root 0 is not a 3-plus vertex"),  # before tree-ness
+        (star_graph(3), 4, "requested root 4 is not a 3-plus vertex"),
+        (star_graph(3), -4, "requested root -4 is not a 3-plus vertex"),
+        (cycle_graph(4), None, "input graph is not a tree"),  # before the path case
+        (Graph.from_edge_list(5, [(0, 1), (0, 2), (0, 3)]), None, "input graph is not a tree"),
+        (path_graph(3), None, "no 3-plus vertex: tree is a path"),
+    ])
+    def test_errors_in_order(self, g, root, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            root_at_3plus(g, root)
 
 
 class TestSurgery:

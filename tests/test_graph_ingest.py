@@ -110,7 +110,11 @@ def graph_files(draw) -> str:
         elif kind == "respell" and edge_at is not None:
             parts = lines[edge_at].split()
             if len(parts) == 3 and parts[0] == "e" and parts[1].isascii():
-                lines[edge_at] = f"e {respell(int(parts[1]), b % 4)} {parts[2]}"
+                try:  # an inserted bad line such as "e x 2" has no value to respell
+                    value = int(parts[1])
+                except ValueError:
+                    continue
+                lines[edge_at] = f"e {respell(value, b % 4)} {parts[2]}"
         elif kind == "huge" and edge_at is not None:
             lines[edge_at] = f"e {'9' * (18 + b % 14)} 1"
         elif kind == "range" and edge_at is not None:

@@ -1,3 +1,6 @@
+import re
+import time
+
 import pytest
 
 import helpers
@@ -288,3 +291,26 @@ class TestMaxIndependentSet:
             member_set = set(members)
             assert all(w not in member_set for v in members for w in g.neighbours(v))
             assert len(members) == helpers.brute_max_independent_set_size(g)
+
+    @pytest.mark.parametrize("max_nodes", [None, 3, 10, 40, 150])
+    def test_matches_set_oracle(self, rng, max_nodes):
+        # the same search tree: equal sets, and equal node counts when the budget runs out
+        budget = SolveBudget() if max_nodes is None else SolveBudget(max_nodes=max_nodes)
+        for _ in range(150):
+            g = helpers.random_graph(rng.randint(0, 16), rng.choice((0.1, 0.3, 0.6)), rng)
+            try:
+                expected = helpers.set_max_independent_set(g, budget=budget)
+            except BudgetExceededError as exc:
+                with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(exc))}$"):
+                    max_independent_set(g, budget=budget)
+            else:
+                assert max_independent_set(g, budget=budget) == expected
+
+    def test_node_cost_linear_in_candidates(self):
+        # 1500 isolated vertices: the set oracle takes tens of seconds to reach
+        # 400 nodes, as each node scanned the candidates once per candidate
+        g = Graph.from_edge_list(1500, [])
+        t0 = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="after 401 nodes"):
+            max_independent_set(g, budget=SolveBudget(max_nodes=400))
+        assert time.monotonic() - t0 < 5

@@ -1,9 +1,18 @@
+import re
+
 import pytest
 
 import helpers
 from conftest import requires_full
 from rscol.colouring import PartialColouring
-from rscol.graph import Graph, GraphError, path_graph, root_at_3plus, star_graph
+from rscol.graph import (
+    Graph,
+    GraphError,
+    RootedTree,
+    path_graph,
+    root_at_3plus,
+    star_graph,
+)
 from rscol.solver import SolveStatus, decide_k_rs
 from rscol.tree3rs import (
     BranchClass,
@@ -215,6 +224,41 @@ class TestTreeTester:
             run_tree_test(helpers.dart())
         with pytest.raises(GraphError):
             run_tree_test(Graph.from_edge_list(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("t, message", [
+        # m != n - 1 is checked before the root
+        (RootedTree(helpers.dart(), helpers.DART_Y), "input graph is not a tree"),
+        (RootedTree(helpers.dart(), helpers.DART_X), "input graph is not a tree"),
+        # m = n - 1 but disconnected: the walk finds it
+        (RootedTree(Graph.from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 2)]), 0),
+         "input graph is not a tree"),
+        (RootedTree(star_graph(3), 1), "rooted input must use a 3-plus root"),
+        (RootedTree(star_graph(3), -4), "rooted input must use a 3-plus root"),
+        (RootedTree(Graph.from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]), 0),
+         "input graph is not a tree"),  # m = n - 1 and no 3-plus vertex, but not a path
+        (Graph.from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),
+         "input graph is not a tree"),
+    ])
+    def test_rejects_bad_input(self, t, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            run_tree_test(t)
+
+    def test_rooted_path_at_any_vertex(self):
+        for root in range(5):
+            result = run_tree_test(RootedTree(path_graph(5), root))
+            assert result.colourable and result.visited == 0
+
+    def test_rooted_input_matches_graph_input(self, rng):
+        seen = 0
+        while seen < 30:
+            g = helpers.random_tree(rng.randint(4, 25), rng)
+            plus = [v for v in range(g.n) if g.degree(v) >= 3]
+            if not plus:
+                continue
+            seen += 1
+            rooted = run_tree_test(root_at_3plus(g))
+            assert rooted == run_tree_test(g)
+            assert run_tree_test(RootedTree(g, rng.choice(plus))).colourable == rooted.colourable
 
     def test_exhaustive_small(self):
         for n in range(1, 8):
