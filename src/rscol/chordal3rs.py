@@ -83,9 +83,10 @@ class ChordalTestResult:
     final_trees: list[Graph] = field(default_factory=list)
 
 
-def test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalTestResult:
+def test_3rs_chordal(g: Graph) -> ChordalTestResult:
     """Decide 3-rs colourability of a chordal graph; decision is the AND over
-    connected components.  Non-chordal input raises NotChordalError."""
+    connected components.  Non-chordal input raises NotChordalError.
+    ``final_trees`` holds each reduced tree the tree tester ran on."""
     if not is_chordal(g):
         raise NotChordalError("input graph is not chordal")
     result = ChordalTestResult(True)
@@ -107,8 +108,7 @@ def test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalTestResult
             # four or more (a non-chordal input) survives it
             if tree.m != tree.n - 1:
                 raise RuntimeError(f"component at {comp[0]} did not reduce to a tree")
-        if collect_trees:
-            result.final_trees.append(tree)
+        result.final_trees.append(tree)
         tree_result = test_3rs_tree(tree)
         result.component_results.append(tree_result)
         if not tree_result.colourable:

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Every command prints a machine-readable first line "RESULT: <token>".
-Exit codes: 0 = yes/valid/ok, 1 = no/invalid, 2 = usage or input error,
-3 = budget exceeded.
+Every command prints a machine-readable first line "RESULT: <token>", and the
+token alone sets the exit code (``_EXIT_CODES``): 0 = yes/valid/ok or a
+number, 1 = no/invalid, 2 = usage or input error, 3 = budget exceeded.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
+
+# RESULT token -> exit code; a decimal token (a chromatic number, an MIS size) answers, so 0
+_EXIT_CODES = {"YES": EXIT_YES, "VALID": EXIT_YES, "OK": EXIT_YES, "NO": EXIT_NO,
+               "INVALID": EXIT_NO, "ERROR": EXIT_ERROR, "BUDGET_EXCEEDED": EXIT_BUDGET}
 
 
 class _UsageError(Exception):
@@ -46,17 +50,23 @@ def _parse_vertex_list(text: str, n: int, what: str) -> list[int]:
         tok = tok.strip()
         if not tok:
             continue
-        v = int(tok)
+        try:
+            v = int(tok)
+        except ValueError:
+            raise graph.GraphError(f"{what}: non-integer vertex {tok!r}") from None
         if not (1 <= v <= n):
             raise graph.GraphError(f"{what}: vertex {v} outside 1..{n}")
         out.append(v - 1)
     return out
 
 
-def _emit(token, *details: str) -> None:
+def _emit(token: str, *details: str) -> int:
+    """Print the RESULT block and return the exit code its token carries."""
+    code = EXIT_YES if token.isdecimal() else _EXIT_CODES[token]
     print(f"RESULT: {token}")
     for line in details:
         print(line)
+    return code
 
 
 def _maybe_dot(g: graph.Graph, args) -> None:
@@ -72,28 +82,19 @@ def _cmd_verify(args) -> int:
     g = graph.read_graph_file(args.graph)
     c = colouring.read_colouring_file(args.colouring, g.n)
     _maybe_dot(g, args)
+    if args.kind == "rs":
+        witness = colouring.find_rs_violation(g, c)
+        if witness is None:
+            return _emit("VALID")
+        what = "violating path" if len(witness) == 3 else "monochromatic edge"
+        return _emit("INVALID", f"{what}: " + " ".join(str(v + 1) for v in witness))
     kinds = {
         "proper": colouring.is_proper,
-        "rs": colouring.is_rs,
         "star": colouring.is_star,
         "ordered": colouring.is_ordered,
         "distance-two": colouring.is_distance_two,
     }
-    ok = kinds[args.kind](g, c)
-    if ok:
-        _emit("VALID")
-        return EXIT_YES
-    details = []
-    if args.kind == "rs":
-        witness = colouring.find_rs_violation(g, c)
-        if witness is not None and len(witness) == 3:
-            x, y, z = witness
-            details.append(f"violating path: {x + 1} {y + 1} {z + 1}")
-        elif witness is not None:
-            u, v = witness
-            details.append(f"monochromatic edge: {u + 1} {v + 1}")
-    _emit("INVALID", *details)
-    return EXIT_NO
+    return _emit("VALID" if kinds[args.kind](g, c) else "INVALID")
 
 
 def _cmd_solve(args) -> int:
@@ -110,33 +111,23 @@ def _cmd_solve(args) -> int:
                     args.precolouring, g.n, args.colours
                 )
             result = _decide_rs(g, args.colours, budget, args.threads, pre)
-            if result.status is solver.SolveStatus.BUDGET_EXCEEDED:
-                _emit("BUDGET_EXCEEDED", f"nodes: {result.nodes}")
-                return EXIT_BUDGET
-            if result.status is solver.SolveStatus.YES:
-                if args.witness_out and result.witness is not None:
-                    colouring.write_colouring_file(result.witness, args.witness_out)
-                _emit("YES", f"nodes: {result.nodes}")
-                return EXIT_YES
-            _emit("NO", f"nodes: {result.nodes}")
-            return EXIT_NO
+            if args.witness_out and result.witness is not None:  # only a YES has one
+                colouring.write_colouring_file(result.witness, args.witness_out)
+            # the SolveStatus member names are the RESULT tokens
+            return _emit(result.status.name, f"nodes: {result.nodes}")
         if args.task in ("chi-rs", "chi-star", "chi-ordered"):
             fn = {
                 "chi-rs": solver.rs_chromatic_number,
                 "chi-star": solver.star_chromatic_number,
                 "chi-ordered": solver.ordered_chromatic_number,
             }[args.task]
-            value = fn(g, budget=budget)
-            _emit(str(value))
-            return EXIT_YES
+            return _emit(str(fn(g, budget=budget)))
         if args.task == "mis":
             members = solver.max_independent_set(g, budget=budget)
-            _emit(str(len(members)), "members: " + " ".join(str(v + 1) for v in members))
-            return EXIT_YES
+            return _emit(str(len(members)), "members: " + " ".join(str(v + 1) for v in members))
         raise _UsageError(f"unknown task {args.task}")
     except solver.BudgetExceededError as exc:
-        _emit("BUDGET_EXCEEDED", str(exc))
-        return EXIT_BUDGET
+        return _emit("BUDGET_EXCEEDED", str(exc))
 
 
 def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
@@ -171,31 +162,25 @@ def _cmd_tree3rs(args) -> int:
     _maybe_dot(g, args)
     result = tree3rs.test_3rs_tree(g)
     if result.colourable:
-        _emit("YES")
-        return EXIT_YES
-    _emit("NO", f"reason: {result.reason_text()}")
-    return EXIT_NO
+        return _emit("YES")
+    return _emit("NO", f"reason: {result.reason_text()}")
 
 
 def _cmd_chordal3rs(args) -> int:
     g = graph.read_graph_file(args.graph)
     _maybe_dot(g, args)
-    result = chordal3rs.test_3rs_chordal(g, collect_trees=bool(args.dump_tree))
+    result = chordal3rs.test_3rs_chordal(g)
     if args.dump_tree:
         for idx, tree in enumerate(result.final_trees):
             path = args.dump_tree if len(result.final_trees) == 1 else f"{args.dump_tree}.{idx}"
             graph.write_graph_file(tree, path, comment=f"reduced tree {idx}")
     if result.colourable:
-        _emit("YES")
-        return EXIT_YES
-    _emit("NO", f"reason: {result.reason}")
-    return EXIT_NO
+        return _emit("YES")
+    return _emit("NO", f"reason: {result.reason}")
 
 
 def _cmd_path_feasible(args) -> int:
-    ok = tree3rs.path_3rs_feasible(args.n, args.i, args.j)
-    _emit("YES" if ok else "NO")
-    return EXIT_YES if ok else EXIT_NO
+    return _emit("YES" if tree3rs.path_3rs_feasible(args.n, args.i, args.j) else "NO")
 
 
 def _cmd_gen_sat(args) -> int:
@@ -205,8 +190,7 @@ def _cmd_gen_sat(args) -> int:
     if args.names:
         constructions.write_names_file(gg, args.names)
     _maybe_dot(gg.graph, args)
-    _emit("OK", f"vertices: {gg.graph.n}", f"edges: {gg.graph.m}")
-    return EXIT_YES
+    return _emit("OK", f"vertices: {gg.graph.n}", f"edges: {gg.graph.m}")
 
 
 def _cmd_gen_blowup(args) -> int:
@@ -219,8 +203,7 @@ def _cmd_gen_blowup(args) -> int:
                 ids = " ".join(str(e + 1) for e in fresh)
                 fh.write(f"e_{u + 1}_{v + 1} {ids}\n")
     _maybe_dot(bu.graph, args)
-    _emit("OK", f"vertices: {bu.graph.n}", f"edges: {bu.graph.m}")
-    return EXIT_YES
+    return _emit("OK", f"vertices: {bu.graph.n}", f"edges: {bu.graph.m}")
 
 
 def _cmd_gplus(args) -> int:
@@ -228,8 +211,7 @@ def _cmd_gplus(args) -> int:
     plus = constructions.g_plus(g)
     graph.write_graph_file(plus, args.out, comment="pendant-padded graph")
     _maybe_dot(plus, args)
-    _emit("OK", f"vertices: {plus.n}", f"edges: {plus.m}")
-    return EXIT_YES
+    return _emit("OK", f"vertices: {plus.n}", f"edges: {plus.m}")
 
 
 def _cmd_split_chi(args) -> int:
@@ -237,9 +219,7 @@ def _cmd_split_chi(args) -> int:
     clique = _parse_vertex_list(args.clique, g.n, "--clique")
     independent = sorted(set(range(g.n)) - set(clique))
     p = constructions.SplitPartition(tuple(sorted(clique)), tuple(independent))
-    value = constructions.split_rs_chromatic(g, p)
-    _emit(str(value))
-    return EXIT_YES
+    return _emit(str(constructions.split_rs_chromatic(g, p)))
 
 
 def _cmd_cobip_convert(args) -> int:
@@ -251,11 +231,9 @@ def _cmd_cobip_convert(args) -> int:
     try:
         ordered = constructions.star_to_ordered_cobipartite(g, p, sc)
     except ValueError as exc:
-        _emit("INVALID", str(exc))
-        return EXIT_NO
+        return _emit("INVALID", str(exc))
     colouring.write_colouring_file(ordered, args.out)
-    _emit("OK", f"colours: {ordered.k}")
-    return EXIT_YES
+    return _emit("OK", f"colours: {ordered.k}")
 
 
 def _cmd_hess_compress(args) -> int:
@@ -270,8 +248,8 @@ def _cmd_hess_compress(args) -> int:
     hessian.write_dense_csv(compressed, args.out)
     if args.groups:
         colouring.write_colouring_file(grouping_colouring, args.groups)
-    _emit("OK", f"colours: {grouping.k}", f"shape: {compressed.shape[0]}x{compressed.shape[1]}")
-    return EXIT_YES
+    return _emit("OK", f"colours: {grouping.k}",
+                 f"shape: {compressed.shape[0]}x{compressed.shape[1]}")
 
 
 def _cmd_hess_recover(args) -> int:
@@ -283,8 +261,7 @@ def _cmd_hess_recover(args) -> int:
     grouping = hessian.SeedGrouping(groups)
     recovered = hessian.recover(np.asarray(compressed), pattern, grouping)
     hessian.write_dense_csv(recovered, args.out)
-    _emit("OK", f"shape: {recovered.shape[0]}x{recovered.shape[1]}")
-    return EXIT_YES
+    return _emit("OK", f"shape: {recovered.shape[0]}x{recovered.shape[1]}")
 
 
 # -- wiring ------------------------------------------------------------------------
@@ -394,14 +371,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
-        _emit("ERROR", f"usage error: {exc}")
-        return EXIT_ERROR
+        return _emit("ERROR", f"usage error: {exc}")
     except (OSError, ValueError) as exc:
-        _emit("ERROR", str(exc))
-        return EXIT_ERROR
+        return _emit("ERROR", str(exc))
     except RecursionError:  # the exact searches recurse once per vertex
-        _emit("ERROR", "graph too large for exact search")
-        return EXIT_ERROR
+        return _emit("ERROR", "graph too large for exact search")
+    except (MemoryError, OverflowError):  # a declared size no array or list can hold
+        return _emit("ERROR", "input too large")
 
 
 def main() -> None:

@@ -301,8 +301,9 @@ def check_properties_P(g: Graph, c: Colouring) -> PropertyReport:
 # A line whose first token is exactly "c" is a comment, as in graph files.
 
 
-def _scan_colouring(lines, n: int, source: str) -> dict[int, int]:
-    """The 0-based vertex -> colour map of a full or partial colouring file."""
+def _scan_colouring(lines, n: int, source: str, k: int | None = None) -> dict[int, int]:
+    """The 0-based vertex -> colour map of a full or partial colouring file;
+    a partial colouring passes its budget k, and a colour outside it raises."""
     assigned: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -318,6 +319,8 @@ def _scan_colouring(lines, n: int, source: str) -> dict[int, int]:
             raise ColouringError(f"{source}:{lineno}: vertex {v} outside 1..{n}")
         if col < 0:
             raise ColouringError(f"{source}:{lineno}: negative colour")
+        if k is not None and col >= k:
+            raise ColouringError(f"{source}:{lineno}: colour {col} outside 0..{k - 1}")
         if v - 1 in assigned:
             raise ColouringError(f"{source}:{lineno}: vertex {v} coloured twice")
         assigned[v - 1] = col
@@ -338,7 +341,7 @@ def read_colouring_file(path: str, n: int) -> Colouring:
 
 def parse_partial_colouring(lines, n: int, k: int, source: str = "<colouring>") -> PartialColouring:
     """Same format as a colouring file, but vertices may be left out."""
-    return PartialColouring.of(n, _scan_colouring(lines, n, source), k)
+    return PartialColouring.of(n, _scan_colouring(lines, n, source, k), k)
 
 
 def read_partial_colouring_file(path: str, n: int, k: int) -> PartialColouring:

@@ -92,45 +92,37 @@ def _vertex_order(g: Graph, order: str) -> list[int]:
 def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
     """Sequential rs colouring heuristic.
 
-    Vertex v gets the smallest colour c such that
-      (i)   no neighbour of v already has c,
-      (ii)  for every colour i < c, v has at most one coloured neighbour with i,
-      (iii) no coloured neighbour u with colour > c already has another
-            neighbour coloured c, and
-      (iv)  no uncoloured neighbour of v already has a different neighbour
-            coloured c.
-    (i)-(iii) keep the partial colouring extendable to a valid rs colouring;
-    (iv) makes the choice total (without it, two vertices coloured 0 across an
-    uncoloured middle vertex would leave that vertex with no legal colour).
+    With seen[u] the colours on u's coloured neighbours, vertex v gets the
+    smallest colour c that is (a) on no neighbour of v and (b) in no seen[u]
+    for a neighbour u that is uncoloured or coloured above c.  (a) keeps the
+    colouring proper; (b) on u coloured above c keeps u's lower neighbours in
+    distinct classes.  (b) on an uncoloured u keeps every uncoloured vertex
+    with at most one coloured neighbour per colour, so the choice is total
+    (two 0s across an uncoloured middle vertex would strand it), and v itself,
+    uncoloured until now, already has at most one neighbour per lower class.
+    One scan of v's neighbours collects the blocked colours.
     """
     off, tgt = g.offsets, g.targets
     colours = [-1] * g.n
-    # cnt[v] maps colour -> number of neighbours of v with that colour
-    cnt: list[dict[int, int]] = [dict() for _ in range(g.n)]
-
-    def feasible(v: int, nbrs: list[int], col: int) -> bool:
-        mine = cnt[v]
-        if mine.get(col):
-            return False
-        for i, times in mine.items():
-            if i < col and times > 1:
-                return False
-        for u in nbrs:
-            cu = colours[u]
-            if cu > col and cnt[u].get(col):
-                return False
-            if cu == -1 and cnt[u].get(col):
-                return False
-        return True
-
+    seen: list[set[int]] = [set() for _ in range(g.n)]
     for v in _vertex_order(g, order):
         nbrs = tgt[off[v]:off[v + 1]]
+        blocked: set[int] = set()
+        for u in nbrs:
+            cu = colours[u]
+            if cu < 0:
+                blocked |= seen[u]
+            else:
+                blocked.add(cu)
+                for x in seen[u]:
+                    if x < cu:
+                        blocked.add(x)
         col = 0
-        while not feasible(v, nbrs, col):
+        while col in blocked:
             col += 1
         colours[v] = col
         for u in nbrs:
-            cnt[u][col] = cnt[u].get(col, 0) + 1
+            seen[u].add(col)
     result = Colouring.of(colours)
     if not is_rs(g, result):
         raise RuntimeError("greedy grouping produced a colouring that is not rs")

@@ -714,6 +714,52 @@ def greedy_distance_two_colouring(g: Graph, order: str = "natural") -> Colouring
     return Colouring.of(colours)
 
 
+def retry_greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
+    """rscol.hessian.greedy_rs_colouring as it was before the one-pass rule:
+    colours 0, 1, ... are retried against four rules over per-vertex counts.
+
+    Vertex v gets the smallest colour c such that
+      (i)   no neighbour of v already has c,
+      (ii)  for every colour i < c, v has at most one coloured neighbour with i,
+      (iii) no coloured neighbour u with colour > c already has another
+            neighbour coloured c, and
+      (iv)  no uncoloured neighbour of v already has a different neighbour
+            coloured c.
+    (i)-(iii) keep the partial colouring extendable to a valid rs colouring;
+    (iv) makes the choice total (without it, two vertices coloured 0 across an
+    uncoloured middle vertex would leave that vertex with no legal colour).
+    """
+    off, tgt = g.offsets, g.targets
+    colours = [-1] * g.n
+    # cnt[v] maps colour -> number of neighbours of v with that colour
+    cnt: list[dict[int, int]] = [dict() for _ in range(g.n)]
+
+    def feasible(v: int, nbrs: list[int], col: int) -> bool:
+        mine = cnt[v]
+        if mine.get(col):
+            return False
+        for i, times in mine.items():
+            if i < col and times > 1:
+                return False
+        for u in nbrs:
+            cu = colours[u]
+            if cu > col and cnt[u].get(col):
+                return False
+            if cu == -1 and cnt[u].get(col):
+                return False
+        return True
+
+    for v in _vertex_order(g, order):
+        nbrs = tgt[off[v]:off[v + 1]]
+        col = 0
+        while not feasible(v, nbrs, col):
+            col += 1
+        colours[v] = col
+        for u in nbrs:
+            cnt[u][col] = cnt[u].get(col, 0) + 1
+    return Colouring.of(colours)
+
+
 # -- Hessian pattern oracle -----------------------------------------------------------
 # The sparsity pattern as a frozenset of pairs, with the per-entry conformance
 # check and recovery loops, as they were before the pattern became index arrays.

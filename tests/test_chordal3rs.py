@@ -144,7 +144,7 @@ class TestChordalTester:
     def test_collected_trees_are_trees(self, rng):
         for _ in range(10):
             g = helpers.random_connected_chordal(rng.randint(3, 8), rng)
-            result = run_chordal_test(g, collect_trees=True)
+            result = run_chordal_test(g)
             for tree in result.final_trees:
                 assert is_tree(tree)
 
@@ -172,7 +172,7 @@ class TestOnePassAgainstStepwise:
     @DIFFERENTIAL
     @given(helpers.chordal_graphs(max_components=5))
     def test_chordal_tester(self, g):
-        fast = run_chordal_test(g, collect_trees=True)
+        fast = run_chordal_test(g)
         slow = helpers.stepwise_test_3rs_chordal(g, collect_trees=True)
         assert fast.colourable == slow.colourable
         assert fast.reason == slow.reason
@@ -229,7 +229,7 @@ class TestManyComponents:
         g = Graph.from_edge_list(len(ids), [(index[u], index[v]) for u, v in edges])
 
         start = time.perf_counter()
-        result = run_chordal_test(g, collect_trees=True)
+        result = run_chordal_test(g)
         elapsed = time.perf_counter() - start
 
         expected = [helpers.stepwise_test_3rs_chordal(part, collect_trees=True) for part in parts]

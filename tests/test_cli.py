@@ -49,6 +49,15 @@ class TestVerify:
         assert (code, token) == (1, "INVALID")
         assert "violating path: 1 2 3" in out
 
+    def test_improper_colouring_names_its_edge(self, tmp_path, capsys):
+        write_graph_file(path_graph(3), str(tmp_path / "p3.gr"))
+        (tmp_path / "mono.col").write_text("1 0\n2 1\n3 1\n")
+        code, token, out = run_cli(
+            capsys, "verify", "--kind", "rs", "-g", tmp_path / "p3.gr", "-c", tmp_path / "mono.col"
+        )
+        assert (code, token) == (1, "INVALID")
+        assert out.splitlines()[1] == "monochromatic edge: 2 3"
+
     def test_library_agreement_on_all_kinds(self, workdir, capsys):
         from rscol import colouring as col
 
@@ -360,6 +369,22 @@ class TestRepeatedRuns:
         assert cli._cached_parser.cache_info().misses == 1
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("token, code", [
+        ("YES", 0), ("VALID", 0), ("OK", 0), ("0", 0), ("17", 0),
+        ("NO", 1), ("INVALID", 1), ("ERROR", 2), ("BUDGET_EXCEEDED", 3),
+    ])
+    def test_token_sets_the_code(self, capsys, token, code):
+        assert cli._emit(token, "detail") == code
+        assert capsys.readouterr().out == f"RESULT: {token}\ndetail\n"
+
+    @pytest.mark.parametrize("token", ["MAYBE", "yes", "", "-1", "2.5"])
+    def test_unknown_token_raises_before_printing(self, capsys, token):
+        with pytest.raises(KeyError):
+            cli._emit(token)
+        assert capsys.readouterr().out == ""
+
+
 class TestErrors:
     def test_usage_error(self, workdir, capsys):
         code, token, _ = run_cli(capsys, "solve", "--task", "decide-rs", "-g", workdir / "dart.gr")
@@ -393,3 +418,27 @@ class TestErrors:
         code, token, out = run_cli(capsys, "tree3rs", "-g", bad)
         assert (code, token) == (2, "ERROR")
         assert ":2" in out
+
+    @pytest.mark.parametrize("command, flag", [("split-chi", "--clique"), ("cobip-convert", "--a")])
+    def test_non_integer_vertex_names_its_flag(self, workdir, capsys, command, flag):
+        extra = ()
+        if command == "cobip-convert":
+            extra = ("-c", workdir / "dart.col", "-o", workdir / "out.col")
+        code, token, out = run_cli(capsys, command, "-g", workdir / "dart.gr", flag, "1, x", *extra)
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1] == f"{flag}: non-integer vertex 'x'"
+
+    # each size fails at once: no list or array of it fits in any address space
+    @pytest.mark.parametrize("command, name, text", [
+        ("tree3rs", "huge.gr", "p edge 100000000000000000000 0\n"),
+        ("tree3rs", "huge.gr", "p edge 100000000000000000 0\n"),
+        ("hess-compress", "huge.mtx",
+         "%%MatrixMarket matrix coordinate real symmetric\n400000000 400000000 1\n1 1 1.0\n"),
+    ], ids=["index-overflow", "list-memory", "array-memory"])
+    def test_oversized_input_is_an_error(self, tmp_path, capsys, command, name, text):
+        (tmp_path / name).write_text(text)
+        flag = "-g" if command == "tree3rs" else "-m"
+        extra = () if command == "tree3rs" else ("-o", tmp_path / "out.csv")
+        code, token, out = run_cli(capsys, command, flag, tmp_path / name, *extra)
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1:] == ["input too large"]

@@ -307,3 +307,5 @@ class TestFileFormat:
             parse_colouring(io.StringIO("1 0\n2 -1\n"), 2, "f")
         with pytest.raises(ColouringError, match=r"^f:2: negative colour$"):
             parse_partial_colouring(io.StringIO("1 0\n2 -1\n"), 2, 3, "f")
+        with pytest.raises(ColouringError, match=r"^pre.col:2: colour 5 outside 0..2$"):
+            parse_partial_colouring(io.StringIO("1 0\n2 5\n"), 2, 3, "pre.col")

@@ -105,6 +105,21 @@ class TestGreedy:
                 c = greedy_rs_colouring(g, order)
                 assert is_rs(g, c)
 
+    def test_matches_retry_oracle(self, rng):
+        graphs = [helpers.random_graph(rng.randint(0, 30), rng.choice((0.05, 0.15, 0.3, 0.6)), rng)
+                  for _ in range(400)]
+        graphs += [grid_graph(r, c) for r, c in ((1, 1), (1, 7), (2, 2), (4, 5), (9, 9), (30, 30))]
+        for g in graphs:
+            for order in ("natural", "largest_degree_first"):
+                assert greedy_rs_colouring(g, order) == helpers.retry_greedy_rs_colouring(g, order)
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertices numbered row by row."""
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edge_list(rows * cols, edges)
+
 
 class TestCompress:
     def _grouping(self, g, order="natural"):
