@@ -45,7 +45,7 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_vertex_list(text: str, n: int, what: str) -> list[int]:
-    out = []
+    out: set[int] = set()
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
@@ -56,8 +56,10 @@ def _parse_vertex_list(text: str, n: int, what: str) -> list[int]:
             raise graph.GraphError(f"{what}: non-integer vertex {tok!r}") from None
         if not (1 <= v <= n):
             raise graph.GraphError(f"{what}: vertex {v} outside 1..{n}")
-        out.append(v - 1)
-    return out
+        if v - 1 in out:
+            raise graph.GraphError(f"{what}: vertex {v} listed twice")
+        out.add(v - 1)
+    return sorted(out)
 
 
 def _emit(token: str, *details: str) -> int:

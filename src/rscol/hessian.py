@@ -181,13 +181,15 @@ def recover(b: np.ndarray, p: SparsityPattern, s: SeedGrouping) -> np.ndarray:
 
 
 def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarray:
-    """Coordinate Matrix Market reader (real or pattern, symmetric or general);
+    """Coordinate Matrix Market reader (real, integer or pattern, symmetric or general);
     general data must still be structurally symmetric.
 
     Each cell may be listed once; in symmetric data (i, j) and (j, i) name the
-    same cell.  A repeated cell or a field that is not a number raises
-    PatternError with ``source:line``; repeats are found after the last line,
-    so a malformed line anywhere in the file is reported first.
+    same cell.  ``integer`` values follow ``int()`` rules.  A repeated cell, a
+    field that is not a number (``_`` included, which ``int`` and ``float``
+    would skip) or a value that is not finite raises PatternError with
+    ``source:line``; repeats and non-finite values are found after the last
+    line, so a malformed line anywhere in the file is reported first.
     """
     it = iter(enumerate(lines, start=1))
     try:
@@ -202,6 +204,12 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
         raise PatternError(f"{source}:1: need coordinate real/integer/pattern")
     if symmetry not in ("symmetric", "general"):
         raise PatternError(f"{source}:1: need symmetric or general symmetry")
+
+    def integer(tok: str) -> float:
+        int(tok)  # the integer grammar: no point, exponent, nan or inf
+        return float(tok)
+
+    number = integer if kind == "integer" else float
     n: int | None = None
     expected = 0
     rows: list[int] = []
@@ -230,9 +238,11 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
             raise PatternError(f"{source}:{lineno}: expected {want} fields")
         try:
             i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            value = 1.0 if kind == "pattern" else float(parts[2])
+            value = 1.0 if kind == "pattern" else number(parts[2])
         except ValueError:
-            raise PatternError(f"{source}:{lineno}: non-numeric entry") from None
+            value = None
+        if value is None or "_" in line:  # int() and float() read 1_0 as 10
+            raise PatternError(f"{source}:{lineno}: non-numeric entry")
         if not (0 <= i < n and 0 <= j < n):
             raise PatternError(f"{source}:{lineno}: index out of range")
         rows.append(i)
@@ -241,6 +251,10 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
         entry_lines.append(lineno)
     if n is None:
         raise PatternError(f"{source}: missing size line")
+    vals = np.array(values, dtype=float)
+    non_finite = np.flatnonzero(~np.isfinite(vals))
+    if non_finite.size:
+        raise PatternError(f"{source}:{entry_lines[non_finite[0]]}: non-finite value")
     general = symmetry == "general"
     r, c = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     cells = r * n + c if general else np.maximum(r, c) * n + np.minimum(r, c)
@@ -252,9 +266,9 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
     if len(values) != expected:
         raise PatternError(f"{source}: declared {expected} entries, found {len(values)}")
     matrix = np.zeros((n, n))
-    matrix[r, c] = values
+    matrix[r, c] = vals
     if not general:
-        matrix[c, r] = values
+        matrix[c, r] = vals
     if general and not np.array_equal(matrix != 0, (matrix != 0).T):
         raise PatternError(f"{source}: general matrix is not structurally symmetric")
     return matrix

@@ -3,12 +3,15 @@
 These are the ground truth the fast testers are measured against; they favour
 correctness and strong propagation over raw speed.  rs and star colourings are
 decided by one backtracking engine, `_run`: up to roughly 40 vertices for 3-rs
-decisions, ~10 vertices for their chromatic numbers.  Its star rule is checked
-per edge: a proper colouring has a bicoloured P4 exactly when some edge xy has
-two neighbours of x coloured c(y) and two of y coloured c(x).  Ordered
-colourings are decided through treedepth by an exact DP over connected vertex
-subsets held as int bitmasks: up to about 25 vertices on sparse graphs and
-about 16 on dense ones, where budget nodes count DP subproblems.
+decisions, ~10 vertices for their chromatic numbers.  Depth d colours the
+uncoloured vertex with the most coloured neighbours, then the highest degree,
+then the lowest index: a maximum-cardinality-search order (Tarjan & Yannakakis,
+1984) that the depth fixes, not DSATUR's distinct-colour count (Brélaz, 1979).
+The star rule is checked per edge: a proper colouring has a bicoloured P4
+exactly when some edge xy has two neighbours of x coloured c(y) and two of y
+coloured c(x).  Ordered colourings are decided through treedepth by an exact DP
+over connected vertex subsets held as int bitmasks: up to about 25 vertices when
+sparse and 16 when dense, where budget nodes count DP subproblems.
 """
 
 from __future__ import annotations
@@ -57,22 +60,16 @@ class _BudgetHit(Exception):
 
 
 class _Search:
-    """Backtracking state: colours, per-vertex colour counts and the feasibility rules.
-
-    Vertex selection is dynamic: most coloured neighbours first, then highest
-    degree, then lowest index.  Both rules are checked incrementally via
-    per-vertex counts of neighbours in each colour class.
-    """
+    """Backtracking state: colours, per-vertex counts of neighbours in each colour
+    class, and the rs and star rules checked against them; `_run` picks the order."""
 
     def __init__(self, g: Graph, k: int, budget: SolveBudget):
-        self.g = g
         self.k = k
         self.budget = budget
         self.adj = [list(g.neighbours(v)) for v in range(g.n)]
         self.colour = [-1] * g.n
         # cnt[v][c] = number of neighbours of v currently coloured c
         self.cnt = [[0] * k for _ in range(g.n)]
-        self.satur = [0] * g.n  # number of coloured neighbours
         self.nodes = 0
         self.deadline = time.monotonic() + budget.time_limit
 
@@ -80,7 +77,6 @@ class _Search:
         self.colour[v] = col
         for u in self.adj[v]:
             self.cnt[u][col] += 1
-            self.satur[u] += 1
         self.nodes += 1
         if self.nodes > self.budget.max_nodes:
             raise _BudgetHit
@@ -91,16 +87,6 @@ class _Search:
         self.colour[v] = -1
         for u in self.adj[v]:
             self.cnt[u][col] -= 1
-            self.satur[u] -= 1
-
-    def next_vertex(self) -> int:
-        best, key = -1, (-1, -1, 0)
-        for v in range(self.g.n):
-            if self.colour[v] == -1:
-                cand = (self.satur[v], len(self.adj[v]), -v)
-                if cand > key:
-                    best, key = v, cand
-        return best
 
     def rs_feasible(self, v: int, col: int) -> bool:
         if col == self.k - 1 and len(self.adj[v]) >= self.k:
@@ -166,16 +152,30 @@ def _run(
     unordered = kind == "star"
     try:
         fixed = _as_partial(g, k, pre)
+        satur = [0] * g.n
         for v, c in fixed:
             if not feasible(v, c):
                 return SolveResult(SolveStatus.NO, nodes=s.nodes)
             s.place(v, c)
+            for u in s.adj[v]:
+                satur[u] += 1
         remaining = s.colour.count(-1)
+        # The order rule counts coloured neighbours whatever their colours, and every node
+        # at depth d has coloured the precoloured vertices and order[:d]: pick each once.
+        order: list[int] = []
 
         def search(depth: int, used: int) -> bool:
             if depth == remaining:
                 return on_witness(Colouring(tuple(s.colour), k))
-            v = s.next_vertex()
+            if depth == len(order):
+                best, key = -1, (-1, -1, 0)
+                for u in range(g.n):
+                    if s.colour[u] == -1 and (satur[u], len(s.adj[u]), -u) > key:
+                        best, key = u, (satur[u], len(s.adj[u]), -u)
+                order.append(best)
+                for u in s.adj[best]:
+                    satur[u] += 1
+            v = order[depth]
             for col in range(min(k, used + 1) if unordered else k):
                 if feasible(v, col):
                     s.place(v, col)

@@ -17,7 +17,15 @@ import numpy as np
 from hypothesis import strategies as st
 
 from rscol.chordal3rs import ChordalTestResult, NotChordalError
-from rscol.colouring import Colouring, _check_domain, is_ordered, is_proper, is_rs
+from rscol.colouring import (
+    Colouring,
+    PartialColouring,
+    _check_domain,
+    is_ordered,
+    is_proper,
+    is_rs,
+    is_star,
+)
 from rscol.graph import (
     Edge,
     Graph,
@@ -35,6 +43,7 @@ from rscol.solver import (
     SolveBudget,
     SolveResult,
     SolveStatus,
+    _as_partial,
     _BudgetHit,
     _Search,
 )
@@ -204,6 +213,92 @@ def brute_force_exists(g: Graph, k: int, accept, pre=None) -> bool:
     return False
 
 
+# -- per-node vertex choice oracle ----------------------------------------------
+# The rs and star engine as it was before each depth picked its vertex once:
+# every node rescans all vertices for the one to colour next.
+
+
+class PerNodeSearch(_Search):
+    """`_Search` that also keeps each vertex's count of coloured neighbours up
+    to date on every place and unplace, and picks the next vertex per node."""
+
+    def __init__(self, g: Graph, k: int, budget: SolveBudget):
+        super().__init__(g, k, budget)
+        self.satur = [0] * g.n  # number of coloured neighbours
+
+    def place(self, v: int, col: int) -> None:
+        self.colour[v] = col
+        for u in self.adj[v]:
+            self.cnt[u][col] += 1
+            self.satur[u] += 1
+        self.nodes += 1
+        if self.nodes > self.budget.max_nodes:
+            raise _BudgetHit
+        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+            raise _BudgetHit
+
+    def unplace(self, v: int, col: int) -> None:
+        self.colour[v] = -1
+        for u in self.adj[v]:
+            self.cnt[u][col] -= 1
+            self.satur[u] -= 1
+
+    def next_vertex(self) -> int:
+        """Most coloured neighbours first, then highest degree, then lowest index."""
+        best, key = -1, (-1, -1, 0)
+        for v in range(len(self.colour)):
+            if self.colour[v] == -1:
+                cand = (self.satur[v], len(self.adj[v]), -v)
+                if cand > key:
+                    best, key = v, cand
+        return best
+
+
+def per_node_run(
+    g: Graph,
+    k: int,
+    kind: str,
+    pre: PartialColouring | None,
+    budget: SolveBudget,
+    on_witness,
+) -> SolveResult:
+    """Drop-in for rscol.solver._run that calls next_vertex at every node."""
+    s = PerNodeSearch(g, k, budget)
+    feasible = s.rs_feasible if kind == "rs" else s.star_feasible
+    unordered = kind == "star"
+    try:
+        fixed = _as_partial(g, k, pre)
+        for v, c in fixed:
+            if not feasible(v, c):
+                return SolveResult(SolveStatus.NO, nodes=s.nodes)
+            s.place(v, c)
+        remaining = s.colour.count(-1)
+
+        def search(depth: int, used: int) -> bool:
+            if depth == remaining:
+                return on_witness(Colouring(tuple(s.colour), k))
+            v = s.next_vertex()
+            for col in range(min(k, used + 1) if unordered else k):
+                if feasible(v, col):
+                    s.place(v, col)
+                    if search(depth + 1, max(used, col + 1)):
+                        return True
+                    s.unplace(v, col)
+            return False
+
+        found = search(0, max((c + 1 for _, c in fixed), default=0))
+    except _BudgetHit:
+        return SolveResult(SolveStatus.BUDGET_EXCEEDED, nodes=s.nodes)
+    if found:
+        witness = Colouring(tuple(s.colour), k)
+        if not (is_rs if kind == "rs" else is_star)(g, witness):
+            raise RuntimeError(f"{kind} search produced a colouring that is not {kind}")
+        if pre is not None and not pre.is_extended_by(witness):
+            raise RuntimeError(f"{kind} search produced a colouring that drops the precolouring")
+        return SolveResult(SolveStatus.YES, witness=witness, nodes=s.nodes)
+    return SolveResult(SolveStatus.NO, nodes=s.nodes)
+
+
 def backtrack_decide_k_ordered(
     g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET
 ) -> SolveResult:
@@ -212,7 +307,7 @@ def backtrack_decide_k_ordered(
     is there a k-ordered colouring (vertex ranking with k ranks)?"""
     if k < 1:
         return SolveResult(SolveStatus.NO if g.n else SolveStatus.YES)
-    s = _Search(g, k, budget)
+    s = PerNodeSearch(g, k, budget)
     colour, adj = s.colour, s.adj
 
     def feasible(v: int, col: int) -> bool:

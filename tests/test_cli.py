@@ -424,9 +424,10 @@ class TestErrors:
         extra = ()
         if command == "cobip-convert":
             extra = ("-c", workdir / "dart.col", "-o", workdir / "out.col")
-        code, token, out = run_cli(capsys, command, "-g", workdir / "dart.gr", flag, "1, x", *extra)
-        assert (code, token) == (2, "ERROR")
-        assert out.splitlines()[1] == f"{flag}: non-integer vertex 'x'"
+        for vertices, message in (("1, x", "non-integer vertex 'x'"), ("1,2,1", "vertex 1 listed twice")):
+            code, token, out = run_cli(capsys, command, "-g", workdir / "dart.gr", flag, vertices, *extra)
+            assert (code, token) == (2, "ERROR")
+            assert out.splitlines()[1] == f"{flag}: {message}"
 
     # each size fails at once: no list or array of it fits in any address space
     @pytest.mark.parametrize("command, name, text", [

@@ -275,6 +275,28 @@ class TestMatrixMarket:
         with pytest.raises(PatternError, match=r"^m\.mtx:4: non-numeric entry$"):
             parse_matrix_market(io.StringIO(text), "m.mtx")
 
+    @pytest.mark.parametrize("kind, value", [
+        ("integer", "1.5"), ("integer", "1e1"), ("integer", "nan"), ("real", "1_0"), ("integer", "1_0"),
+    ])
+    def test_value_outside_its_grammar_names_its_line(self, kind, value):
+        text = f"%%MatrixMarket matrix coordinate {kind} symmetric\n2 2 2\n1 1 1\n2 1 {value}\n"
+        with pytest.raises(PatternError, match=r"^m\.mtx:4: non-numeric entry$"):
+            parse_matrix_market(io.StringIO(text), "m.mtx")
+
+    def test_integer_values(self):
+        text = "%%MatrixMarket matrix coordinate integer symmetric\n2 2 2\n1 1 -3\n2 1 +7\n"
+        m = parse_matrix_market(io.StringIO(text))
+        assert m.tolist() == [[-3.0, 7.0], [7.0, 0.0]]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_value_names_its_line(self, value):
+        # non-finite values are found after the last line, so a later malformed line wins
+        text = self.HEADER + f"3 3 3\n1 1 1.0\n2 1 {value}\n3 3 2.0\n"
+        with pytest.raises(PatternError, match=r"^m\.mtx:4: non-finite value$"):
+            parse_matrix_market(io.StringIO(text), "m.mtx")
+        with pytest.raises(PatternError, match=r"^m\.mtx:6: non-numeric entry$"):
+            parse_matrix_market(io.StringIO(text + "3 2 x\n"), "m.mtx")
+
     def test_repeated_coordinate_rejected(self):
         text = self.HEADER + "2 2 3\n1 1 1.0\n2 1 5.0\n2 1 7.0\n"
         with pytest.raises(PatternError, match=r"^m\.mtx:5: duplicate entry \(2,1\)$"):

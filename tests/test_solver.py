@@ -1,10 +1,13 @@
+import random
 import re
 import time
 
 import pytest
 
 import helpers
+from rscol import solver
 from rscol.colouring import Colouring, PartialColouring, is_ordered, is_rs, is_star
+from rscol.constructions import sat_to_graph
 from rscol.graph import (
     Graph,
     attach_pendants,
@@ -221,6 +224,77 @@ class TestStarFeasible:
                     assert s.star_feasible(v, col) == expected
                     outcomes.add((bool(s.cnt[v][col]), expected))
         assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+class TestVertexOrderPerDepth:
+    """rs and star search pick each depth's vertex once; the engine that picked
+    it at every node is the oracle, substituted for solver._run."""
+
+    @staticmethod
+    def both(monkeypatch, call):
+        def outcome():
+            try:
+                return call()
+            except BudgetExceededError as exc:
+                return type(exc), str(exc)
+
+        mine = outcome()
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_run", helpers.per_node_run)
+            return mine, outcome()
+
+    @staticmethod
+    def random_pre(n, k, rng):
+        if k < 1 or rng.random() > 0.3:
+            return None
+        return PartialColouring.of(n, {v: rng.randrange(k) for v in rng.sample(range(n), n // 3)}, k)
+
+    @pytest.mark.parametrize("max_nodes", [7, 10_000_000])
+    def test_decisions_match_per_node_oracle(self, rng, monkeypatch, max_nodes):
+        budget = SolveBudget(max_nodes=max_nodes)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(0, 10)
+            g = helpers.random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng)
+            for k in range(n + 2):
+                pre = self.random_pre(n, k, rng)
+                for call in (lambda: decide_k_rs(g, k, pre=pre, budget=budget),
+                             lambda: decide_k_star(g, k, budget=budget)):
+                    mine, oracle = self.both(monkeypatch, call)
+                    assert (mine.status, mine.nodes, mine.witness) == (
+                        oracle.status, oracle.nodes, oracle.witness)
+                    outcomes.add(mine.status)
+        assert len(outcomes) == (3 if max_nodes == 7 else 2)
+
+    @pytest.mark.parametrize("max_nodes", [40, 10_000_000])
+    def test_enumeration_matches_per_node_oracle(self, rng, monkeypatch, max_nodes):
+        budget = SolveBudget(max_nodes=max_nodes)
+        for _ in range(60):
+            n = rng.randint(0, 7)
+            g = helpers.random_graph(n, rng.choice([0.3, 0.5]), rng)
+            k = rng.randint(0, 3)
+            pre = self.random_pre(n, k, rng)
+            mine, oracle = self.both(monkeypatch, lambda: list(enumerate_k_rs(g, k, pre, budget)))
+            assert mine == oracle
+
+    # Verdict and node count of 3-rs search on the reduction gadgets.  They pin the
+    # search tree: a change of vertex order or pruning must update them on purpose.
+    def test_girth_gadget_node_counts(self):
+        rng = random.Random(1010)  # the formula sequence of test_acceptance c10
+        counts = []
+        for _ in range(7):
+            f, _ = helpers.random_planted_cnf(rng, rng.randint(6, 10), rng.randint(3, 6))
+            result = decide_k_rs(sat_to_graph(f, variant="girth", s=2).graph, 3)
+            counts.append((result.status, result.nodes))
+        yes = SolveStatus.YES
+        assert counts == [(yes, 537), (yes, 569), (yes, 6962), (yes, 294779),
+                          (yes, 1314), (yes, 1066), (yes, 45367)]
+
+    def test_unsat_gadget_node_count(self):
+        g = sat_to_graph(helpers.unsat_cubic_formula()).graph
+        assert g.n == 40
+        result = decide_k_rs(g, 3)
+        assert (result.status, result.nodes) == (SolveStatus.NO, 221)
 
 
 class TestOrderedDecision:
