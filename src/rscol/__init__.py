@@ -56,12 +56,14 @@ from .graph import (
     subdivide_all_edges,
 )
 from .hessian import (
+    CooMatrix,
     SeedGrouping,
     SparsityPattern,
     compress,
     greedy_rs_colouring,
     pattern_to_graph,
     recover,
+    recover_entries,
 )
 from .solver import (
     BudgetExceededError,

@@ -12,8 +12,6 @@ import functools
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import chordal3rs, colouring, constructions, graph, hessian, solver, tree3rs
 
 EXIT_YES = 0
@@ -135,8 +133,9 @@ def _cmd_solve(args) -> int:
 def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
     if threads <= 1 or g.n == 0 or k < 1:
         return solver.decide_k_rs(g, k, pre=pre, budget=budget)
-    # split the root vertex's colour choices across worker processes; a YES
-    # from any worker stands, and the lowest root colour picks the witness
+    # split the root vertex's colour choices across worker processes and take
+    # their answers in root-colour order: the first YES stands, with its witness,
+    # and the searches after it are stopped, so nodes counts the searches up to it
     import multiprocessing
 
     fixed = {} if pre is None else {v: c for v, c in enumerate(pre.colours) if c is not None}
@@ -144,19 +143,20 @@ def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
     if not free:
         return solver.decide_k_rs(g, k, pre=pre, budget=budget)
     root = max(free, key=g.degree)
-    jobs = [(g, k, colouring.PartialColouring.of(g.n, {**fixed, root: col}, k), budget)
-            for col in range(k)]
-    with multiprocessing.Pool(min(threads, k)) as pool:
-        outcomes = pool.starmap(solver.decide_k_rs, jobs)
-    nodes = sum(r.nodes for r in outcomes)
-    for r in outcomes:  # in root-colour order
-        if r.status is solver.SolveStatus.YES:
-            if not colouring.is_rs(g, r.witness):
-                raise RuntimeError("a decide-rs worker returned a colouring that is not rs")
-            return solver.SolveResult(solver.SolveStatus.YES, witness=r.witness, nodes=nodes)
-    if any(r.status is solver.SolveStatus.BUDGET_EXCEEDED for r in outcomes):
-        return solver.SolveResult(solver.SolveStatus.BUDGET_EXCEEDED, nodes=nodes)
-    return solver.SolveResult(solver.SolveStatus.NO, nodes=nodes)
+    pres = [colouring.PartialColouring.of(g.n, {**fixed, root: col}, k) for col in range(k)]
+    search = functools.partial(solver.decide_k_rs, g, k, budget=budget)
+    nodes = 0
+    exceeded = False
+    with multiprocessing.Pool(min(threads, k)) as pool:  # leaving the block stops the workers
+        for r in pool.imap(search, pres):
+            nodes += r.nodes
+            if r.status is solver.SolveStatus.YES:
+                if not colouring.is_rs(g, r.witness):
+                    raise RuntimeError("a decide-rs worker returned a colouring that is not rs")
+                return solver.SolveResult(solver.SolveStatus.YES, witness=r.witness, nodes=nodes)
+            exceeded |= r.status is solver.SolveStatus.BUDGET_EXCEEDED
+    status = solver.SolveStatus.BUDGET_EXCEEDED if exceeded else solver.SolveStatus.NO
+    return solver.SolveResult(status, nodes=nodes)
 
 
 def _cmd_tree3rs(args) -> int:
@@ -240,7 +240,7 @@ def _cmd_cobip_convert(args) -> int:
 
 def _cmd_hess_compress(args) -> int:
     matrix = hessian.read_matrix_market(args.matrix)
-    pattern = hessian.SparsityPattern.from_dense(matrix)
+    pattern = hessian.SparsityPattern.from_coo(matrix)
     g = hessian.pattern_to_graph(pattern)
     order = "largest_degree_first" if args.order == "ldf" else args.order
     grouping_colouring = hessian.greedy_rs_colouring(g, order=order)
@@ -256,14 +256,15 @@ def _cmd_hess_compress(args) -> int:
 
 def _cmd_hess_recover(args) -> int:
     compressed = hessian.read_dense_csv(args.compressed)
-    pattern_matrix = hessian.read_matrix_market(args.pattern)
-    pattern = hessian.SparsityPattern.from_dense(pattern_matrix)
+    pattern = hessian.SparsityPattern.from_coo(hessian.read_matrix_market(args.pattern))
     groups = colouring.read_colouring_file(args.groups, pattern.n)
-    # recover checks the rs property on the pattern graph
-    grouping = hessian.SeedGrouping(groups)
-    recovered = hessian.recover(np.asarray(compressed), pattern, grouping)
-    hessian.write_dense_csv(recovered, args.out)
-    return _emit("OK", f"shape: {recovered.shape[0]}x{recovered.shape[1]}")
+    # recover_entries checks the rs property on the pattern graph
+    recovered = hessian.recover_entries(compressed, pattern, hessian.SeedGrouping(groups))
+    if args.out.endswith(".mtx"):
+        hessian.write_matrix_market(recovered, args.out)
+    else:
+        hessian.write_dense_csv(recovered, args.out)
+    return _emit("OK", f"shape: {recovered.n}x{recovered.n}")
 
 
 # -- wiring ------------------------------------------------------------------------
@@ -357,7 +358,8 @@ def build_parser() -> _Parser:
     p.add_argument("--compressed", required=True, help="compressed matrix CSV")
     p.add_argument("--pattern", required=True, help="MatrixMarket pattern file")
     p.add_argument("--groups", required=True, help="grouping in colouring format")
-    p.add_argument("-o", "--out", required=True)
+    p.add_argument("-o", "--out", required=True,
+                   help="recovered matrix: MatrixMarket if it ends in .mtx, dense CSV otherwise")
     p.set_defaults(handler=_cmd_hess_recover)
 
     return parser

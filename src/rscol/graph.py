@@ -487,24 +487,12 @@ def parse_graph(text: str | Iterable[str], source: str = "<graph>") -> Graph:
 
 
 def _edge_tokens(text: str) -> tuple[int, list[list[str]]] | None:
-    r"""(n, [u strings, v strings]) of a file made of comment and blank lines,
+    """(n, [u strings, v strings]) of a file made of comment and blank lines,
     a valid problem line, then exactly the declared number of lines
-    ``e <u> <v>``; None for any other file.
-
-    One ``str.split`` tokenises all edge lines, with each line break first
-    replaced by the token LINE_BREAK.  Splitting the text as it is would not
-    do: ``str.split`` also splits at whitespace that does not end a line of a
-    file read in text mode, among it ``\x0b \x0c \x1c-\x1e \x85 \u2028
-    \u2029`` (which ``str.splitlines`` would take as line ends), so
-    ``e 1 2\x0ce 3 4``, or ``e 1 2 e`` followed by ``3 4``, would pass a check
-    of three tokens per edge with ``e`` at every third, where the line scanner
-    rejects the line.
-
-    With the breaks kept as tokens, the m lines are each exactly
-    ``e <u> <v>`` if and only if there are 4m tokens, every fourth one from
-    the first is ``e``, and the only LINE_BREAK tokens are the m that close
-    each group of four.
-    """
+    ``e <u> <v>``; None for any other file.  ``line_tokens`` tokenises the
+    lines after the problem line; they are m lines ``e <u> <v>`` if and only
+    if they are lines of three tokens, 4m tokens with the line breaks, and
+    every fourth token from the first is ``e``."""
     pos = 0
     while True:  # comment and blank lines up to the problem line
         end = text.find("\n", pos)
@@ -522,22 +510,38 @@ def _edge_tokens(text: str) -> tuple[int, list[list[str]]] | None:
         n, m = int(parts[2]), int(parts[3])
     except ValueError:
         return None
-    body = text[end + 1:]
-    if n < 0 or m < 0 or LINE_BREAK in body:
+    tokens = line_tokens(text[end + 1:], 3)
+    if n < 0 or tokens is None or len(tokens) != 4 * m or tokens[::4].count("e") != m:
+        return None
+    return n, [tokens[1::4], tokens[2::4]]
+
+
+def line_tokens(body: str, width: int) -> list[str] | None:
+    r"""The tokens of `body` with the token LINE_BREAK closing each line, if
+    every line holds exactly `width` tokens; None otherwise, a blank line
+    included.
+
+    One ``str.split`` tokenises all lines, with each line break first
+    replaced by LINE_BREAK.  Splitting the text as it is would not do:
+    ``str.split`` also splits at whitespace that does not end a line of a
+    file read in text mode, among it ``\x0b \x0c \x1c-\x1e \x85 \u2028
+    \u2029`` (which ``str.splitlines`` would take as line ends), so
+    ``e 1 2\x0ce 3 4``, or ``e 1 2 e`` followed by ``3 4``, would pass a check
+    of three tokens per edge with ``e`` at every third, where the line scanner
+    rejects the line.  With the breaks kept as tokens, the m lines each hold
+    `width` tokens if and only if there are (width + 1)m tokens and the only
+    LINE_BREAK tokens are the m that close each group of width + 1.
+    """
+    if LINE_BREAK in body:
         return None
     breaks = body.count("\n")  # each becomes one LINE_BREAK token
     tokens = body.replace("\n", f" {LINE_BREAK} ").split()
     if tokens and tokens[-1] != LINE_BREAK:
         tokens.append(LINE_BREAK)  # a last line without a line break
         breaks += 1
-    if (
-        len(tokens) != 4 * m
-        or breaks != m
-        or tokens[3::4].count(LINE_BREAK) != m
-        or tokens[::4].count("e") != m
-    ):
+    if len(tokens) != (width + 1) * breaks or tokens[width::width + 1].count(LINE_BREAK) != breaks:
         return None
-    return n, [tokens[1::4], tokens[2::4]]
+    return tokens
 
 
 def _scan_graph(lines: Iterable[str], source: str) -> Graph:

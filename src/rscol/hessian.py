@@ -3,26 +3,96 @@
 An rs colouring guarantees direct recovery: every vertex has at most one
 neighbour in each lower colour class, so each off-diagonal entry can be read
 from the row of its higher-coloured endpoint in the compressed product.
-The pattern is held as index arrays, so compress and recover handle every
-entry in numpy operations rather than in a Python loop.  Matrices are written
-as dense CSV, one row per line and each cell the ``repr`` of its float64; only
-the nonzero cells are formatted, so the writer's Python work grows with the
-nonzero count, not with n².
+
+A matrix is held in COO form (``CooMatrix``: its stored cells as index and
+value arrays) from the MatrixMarket reader to the writers, and a pattern as
+the index arrays of its off-diagonal pairs.  Compress adds each stored cell
+into the compressed product in one ``np.bincount``, and recover gathers each
+recovered cell from it, so both take time and memory in the number of stored
+cells, not in n²; the dense forms of ``compress`` and ``recover`` convert at
+their boundary and call the same code.  A recovered matrix is written as
+MatrixMarket (coordinate real symmetric, its lower triangle) or as dense CSV,
+one row per line and each cell the ``repr`` of its float64; both writers
+format only the cells whose bits are not all zero.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
 from .colouring import Colouring, is_rs
-from .graph import Graph, read_text, write_text
+from .graph import Graph, line_tokens, read_text, write_text
+
+MAX_SIDE = math.isqrt(2**63 - 1)
+"""The largest matrix side n for which every cell (i, j) has an int64 key i * n + j."""
+
+ROW_BYTES = 200
+"""A floor on the memory that ``hess-compress`` and ``hess-recover`` hold per
+matrix row, whatever the number of stored cells: the adjacency lists, the
+colour list and sets of the grouping, and the rows of the compressed product.
+Both commands took 200-280 bytes per row on sides of 10**6 and 3 * 10**6
+with one stored cell."""
+
+
+def _physical_memory() -> int | None:
+    """The bytes of memory of this machine, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 class PatternError(ValueError):
     """Asymmetric or otherwise malformed matrix or sparsity input."""
+
+
+@dataclass(frozen=True, eq=False)
+class CooMatrix:
+    """An n x n float64 matrix as its stored cells: values[t] at (rows[t], cols[t]).
+
+    The cells are distinct and in row-major order; a cell not stored is zero.
+    A stored cell may hold zero, as an explicit zero of a MatrixMarket file does.
+    """
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def from_dense(matrix: np.ndarray) -> CooMatrix:
+        """The cells of a square array whose value is not zero."""
+        a = np.asarray(matrix, dtype=float)
+        rows, cols = np.nonzero(a)
+        return CooMatrix(a.shape[0], rows, cols, a[rows, cols])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.values.nbytes
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.values
+        return out
+
+
+def _is_symmetric(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> bool:
+    """Whether cells given distinct and in row-major order hold equal values in
+    mirror cells, a cell not given counting as zero."""
+    nonzero = values != 0
+    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+    mirror = np.lexsort((rows, cols))  # the cells in the row-major order of their mirrors
+    return (np.array_equal(rows, cols[mirror]) and np.array_equal(cols, rows[mirror])
+            and np.array_equal(values, values[mirror]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,16 +117,21 @@ class SparsityPattern:
         return SparsityPattern(n, ij[:, 0], ij[:, 1])
 
     @staticmethod
+    def from_coo(m: CooMatrix) -> SparsityPattern:
+        """The pairs of the off-diagonal cells whose value is not zero, so an
+        explicit zero (``-0.0`` included) is not in the pattern."""
+        nonzero = m.values != 0
+        if not _is_symmetric(m.rows, m.cols, nonzero):
+            raise PatternError("asymmetric sparsity structure")
+        upper = (m.rows < m.cols) & nonzero
+        return SparsityPattern(m.n, m.rows[upper], m.cols[upper])
+
+    @staticmethod
     def from_dense(matrix: np.ndarray) -> SparsityPattern:
         a = np.asarray(matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise PatternError(f"need a square matrix, got shape {a.shape}")
-        nonzero = a != 0
-        if not np.array_equal(nonzero, nonzero.T):
-            raise PatternError("asymmetric sparsity structure")
-        rows, cols = np.nonzero(nonzero)
-        upper = rows < cols
-        return SparsityPattern(a.shape[0], rows[upper], cols[upper])
+        return SparsityPattern.from_coo(CooMatrix.from_dense(a))
 
 
 def pattern_to_graph(p: SparsityPattern) -> Graph:
@@ -129,31 +204,40 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
     return result
 
 
-def compress(h: np.ndarray, s: SeedGrouping, pattern: SparsityPattern) -> np.ndarray:
+def compress(h: np.ndarray | CooMatrix, s: SeedGrouping, pattern: SparsityPattern) -> np.ndarray:
     """Compressed product B = H . S, where S has one indicator column per group.
 
+    H is a CooMatrix or a dense array, which is converted to one.  Each stored
+    cell (i, j) adds its value to B[i][colour(j)], in row-major order.
     Entries outside the pattern are rejected.
     """
-    a = np.asarray(h, dtype=float)
+    m = h if isinstance(h, CooMatrix) else np.asarray(h, dtype=float)
     n = len(s.colouring)
-    if a.shape != (n, n):
-        raise PatternError(f"matrix shape {a.shape} does not match grouping on {n} columns")
-    if not np.array_equal(a, a.T):
+    if m.shape != (n, n):
+        raise PatternError(f"matrix shape {m.shape} does not match grouping on {n} columns")
+    if isinstance(m, np.ndarray):
+        m = CooMatrix.from_dense(m)
+    if not _is_symmetric(m.rows, m.cols, m.values):
         raise PatternError("matrix is not symmetric")
     if pattern.n != n:
         raise PatternError("grouping and pattern dimensions differ")
-    # a is symmetric, so the first stray entry in row-major order lies above the diagonal
-    outside = a != 0
-    outside[pattern.rows, pattern.cols] = outside[pattern.cols, pattern.rows] = False
-    np.fill_diagonal(outside, False)
-    if outside.any():
-        i, j = divmod(int(outside.argmax()), n)
+    # the matrix is symmetric, so the first stray entry in row-major order lies above the diagonal
+    upper = (m.rows < m.cols) & (m.values != 0)
+    cells = m.rows[upper] * n + m.cols[upper]
+    # the pattern's keys are sorted, and the sentinel n * n lies past every cell's key
+    allowed = np.append(pattern.rows * n + pattern.cols, n * n)
+    stray = np.flatnonzero(allowed[np.searchsorted(allowed, cells)] != cells)
+    if stray.size:
+        i, j = divmod(int(cells[stray[0]]), n)
         raise PatternError(f"nonzero entry ({i},{j}) outside the sparsity pattern")
-    return a @ np.eye(s.k)[np.array(s.colouring.colours, dtype=np.intp)]
+    colours = np.array(s.colouring.colours, dtype=np.intp)
+    b = np.bincount(m.rows * s.k + colours[m.cols], weights=m.values, minlength=n * s.k)
+    return b.reshape(n, s.k)
 
 
-def recover(b: np.ndarray, p: SparsityPattern, s: SeedGrouping) -> np.ndarray:
-    """Rebuild the full symmetric matrix from the compressed product.
+def recover_entries(b: np.ndarray, p: SparsityPattern, s: SeedGrouping) -> CooMatrix:
+    """Rebuild the full symmetric matrix from the compressed product, as the
+    CooMatrix of every diagonal cell and both cells of every pattern pair.
 
     H[v][v] = B[v][colour(v)]; for each pattern pair (u, v) with
     colour(u) < colour(v), H[u][v] = B[v][colour(u)] (unique by the rs
@@ -162,41 +246,61 @@ def recover(b: np.ndarray, p: SparsityPattern, s: SeedGrouping) -> np.ndarray:
     colouring = s.colouring
     if len(colouring) != p.n:
         raise PatternError("grouping and pattern dimensions differ")
-    graph = pattern_to_graph(p)
-    if not is_rs(graph, colouring):
+    if not is_rs(pattern_to_graph(p), colouring):
         raise ValueError("grouping is not an rs colouring of the pattern graph")
     b = np.asarray(b, dtype=float)
     if b.shape != (p.n, s.k):
         raise PatternError(f"compressed shape {b.shape}, expected {(p.n, s.k)}")
     c = np.array(colouring.colours, dtype=np.intp)
-    out = np.zeros((p.n, p.n))
-    np.fill_diagonal(out, b[np.arange(p.n), c])
     hi = np.where(c[p.rows] > c[p.cols], p.rows, p.cols)
     values = b[hi, c[p.rows + p.cols - hi]]  # the other endpoint has the lower colour
-    out[p.rows, p.cols] = out[p.cols, p.rows] = values
-    return out
+    diagonal = np.arange(p.n)
+    rows = np.concatenate((diagonal, p.rows, p.cols))
+    cols = np.concatenate((diagonal, p.cols, p.rows))
+    order = np.argsort(rows * p.n + cols)
+    values = np.concatenate((b[diagonal, c], values, values))
+    return CooMatrix(p.n, rows[order], cols[order], values[order])
+
+
+def recover(b: np.ndarray, p: SparsityPattern, s: SeedGrouping) -> np.ndarray:
+    """``recover_entries`` as a dense array."""
+    return recover_entries(b, p, s).toarray()
 
 
 # -- Matrix Market / CSV input-output ----------------------------------------------
 
 
-def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarray:
+def parse_matrix_market(text: str | Iterable[str], source: str = "<mtx>") -> CooMatrix:
     """Coordinate Matrix Market reader (real, integer or pattern, symmetric or general);
     general data must still be structurally symmetric.
 
-    Each cell may be listed once; in symmetric data (i, j) and (j, i) name the
-    same cell.  ``integer`` values follow ``int()`` rules.  A repeated cell, a
-    field that is not a number (``_`` included, which ``int`` and ``float``
-    would skip) or a value that is not finite raises PatternError with
-    ``source:line``; repeats and non-finite values are found after the last
-    line, so a malformed line anywhere in the file is reported first.
+    `text` is the whole file or an iterable of its lines.  The result stores
+    every listed cell, and in symmetric data the mirror of every off-diagonal
+    one.  Each cell may be listed once; in symmetric data (i, j) and (j, i)
+    name the same cell.  ``integer`` values follow ``int()`` rules.  A
+    repeated cell, a field that is not a number (``_`` included, which ``int``
+    and ``float`` would skip) or a value that is not finite raises
+    PatternError with ``source:line``; repeats and non-finite values are found
+    after the last line, so a malformed line anywhere in the file is reported
+    first.  A side n above MAX_SIDE raises OverflowError, and a side whose
+    rows at ROW_BYTES each would not fit in this machine's memory raises
+    MemoryError, before any array of n entries is made.
+
+    A whole file whose entry lines are all well formed is read by
+    ``_entry_arrays`` in a few numpy calls; every other input goes to the line
+    scanner, which checks each line in file order and names the first bad one.
     """
-    it = iter(enumerate(lines, start=1))
-    try:
-        lineno, header = next(it)
-    except StopIteration:
-        raise PatternError(f"{source}: empty file") from None
-    fields = header.strip().lower().split()
+    if isinstance(text, str):
+        entries = _entry_arrays(text, source) if text else None
+        if entries is not None:
+            return _assemble(*entries, source)
+        text = text.split("\n") if text else []
+    return _scan_matrix(text, source)
+
+
+def _header(line: str, source: str) -> tuple[str, bool]:
+    """(kind, whether the symmetry is general) of a header line."""
+    fields = line.strip().lower().split()
     if len(fields) != 5 or fields[0] != "%%matrixmarket" or fields[1] != "matrix":
         raise PatternError(f"{source}:1: not a MatrixMarket header")
     layout, kind, symmetry = fields[2], fields[3], fields[4]
@@ -204,6 +308,66 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
         raise PatternError(f"{source}:1: need coordinate real/integer/pattern")
     if symmetry not in ("symmetric", "general"):
         raise PatternError(f"{source}:1: need symmetric or general symmetry")
+    return kind, symmetry == "general"
+
+
+def _entry_arrays(text: str, source: str) -> tuple | None:
+    """The arguments of ``_assemble`` for a file made of a header, comment and
+    blank lines, a valid size line, then only entry lines, each with the
+    kind's number of fields in its grammar and with both indices in range;
+    None for any other file.
+
+    As in graph ingest, ``line_tokens`` tokenises all entry lines in one
+    ``str.split``; each field then becomes an array in one numpy call, which
+    reads a string as ``int()`` or ``float()`` reads it.  A ``%`` or ``_``
+    anywhere in the entry lines sends the file to the line scanner.
+    """
+    end = text.find("\n")
+    if end == -1:
+        end = len(text)
+    kind, general = _header(text[:end], source)
+    lineno = 1
+    parts: list[str] = []
+    while not parts or parts[0].startswith("%"):  # comment and blank lines up to the size line
+        if end == len(text):
+            return None
+        start, end = end + 1, text.find("\n", end + 1)
+        if end == -1:
+            end = len(text)
+        parts = text[start:end].split()
+        lineno += 1
+    try:
+        n, n_cols, expected = map(int, parts)
+    except ValueError:  # also a size line without three fields
+        return None
+    body = text[end + 1:]
+    w = 2 if kind == "pattern" else 3
+    tokens = None if "%" in body or "_" in body else line_tokens(body, w)
+    if n != n_cols or not 0 <= n <= MAX_SIDE or tokens is None:
+        return None
+    m = len(tokens) // (w + 1)
+    try:
+        rows = np.array(tokens[0::w + 1], dtype=np.int64) - 1
+        cols = np.array(tokens[1::w + 1], dtype=np.int64) - 1
+        if kind == "integer":
+            np.array(tokens[2::w + 1], dtype=np.int64)  # the integer grammar
+        values = np.ones(m) if kind == "pattern" else np.array(tokens[2::w + 1], dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)).any():
+        return None
+    return n, general, expected, rows, cols, values, np.arange(lineno + 1, lineno + 1 + m)
+
+
+def _scan_matrix(lines: Iterable[str], source: str) -> CooMatrix:
+    """Check the lines of a MatrixMarket file one at a time, in file order,
+    and raise at the first bad one; ``_assemble`` checks the whole otherwise."""
+    it = iter(enumerate(lines, start=1))
+    try:
+        lineno, header = next(it)
+    except StopIteration:
+        raise PatternError(f"{source}: empty file") from None
+    kind, general = _header(header, source)
 
     def integer(tok: str) -> float:
         int(tok)  # the integer grammar: no point, exponent, nan or inf
@@ -251,54 +415,95 @@ def parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarr
         entry_lines.append(lineno)
     if n is None:
         raise PatternError(f"{source}: missing size line")
-    vals = np.array(values, dtype=float)
+    return _assemble(n, general, expected, rows, cols, values, entry_lines, source)
+
+
+def _assemble(n: int, general: bool, expected: int, rows, cols, values, entry_lines,
+              source: str) -> CooMatrix:
+    """The CooMatrix of well-formed entries (0-based indices in range), after
+    the checks that need every entry: finite values, no repeated cell, the
+    declared count and, in general data, a symmetric structure."""
+    vals = np.asarray(values, dtype=float)
     non_finite = np.flatnonzero(~np.isfinite(vals))
     if non_finite.size:
         raise PatternError(f"{source}:{entry_lines[non_finite[0]]}: non-finite value")
-    general = symmetry == "general"
-    r, c = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    if n > MAX_SIDE:
+        raise OverflowError(f"{source}: matrix side {n} exceeds {MAX_SIDE}")
+    memory = _physical_memory()
+    if memory is not None and n * ROW_BYTES > memory:
+        raise MemoryError(f"{source}: matrix side {n} needs more than {memory} bytes")
+    r, c = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     cells = r * n + c if general else np.maximum(r, c) * n + np.minimum(r, c)
     order = np.argsort(cells, kind="stable")  # a repeat sorts after the cell's first entry
     repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
     if repeats.size:
         k = int(repeats.min())
         raise PatternError(f"{source}:{entry_lines[k]}: duplicate entry ({r[k] + 1},{c[k] + 1})")
-    if len(values) != expected:
-        raise PatternError(f"{source}: declared {expected} entries, found {len(values)}")
-    matrix = np.zeros((n, n))
-    matrix[r, c] = vals
-    if not general:
-        matrix[c, r] = vals
-    if general and not np.array_equal(matrix != 0, (matrix != 0).T):
+    if len(vals) != expected:
+        raise PatternError(f"{source}: declared {expected} entries, found {len(vals)}")
+    if not general:  # an off-diagonal entry also stands for its mirror cell
+        off = r != c
+        r, c, vals = (np.concatenate((r, c[off])), np.concatenate((c, r[off])),
+                      np.concatenate((vals, vals[off])))
+        order = np.argsort(r * n + c)
+    r, c, vals = r[order], c[order], vals[order]
+    if general and not _is_symmetric(r, c, vals != 0):
         raise PatternError(f"{source}: general matrix is not structurally symmetric")
-    return matrix
+    return CooMatrix(n, r, c, vals)
 
 
-def read_matrix_market(path: str) -> np.ndarray:
-    text = read_text(path, PatternError)
-    return parse_matrix_market(text.split("\n") if text else [], source=path)
+def read_matrix_market(path: str) -> CooMatrix:
+    return parse_matrix_market(read_text(path, PatternError), source=path)
 
 
-def write_dense_csv(matrix: np.ndarray, path_or_file: str | IO[str]) -> None:
+def write_matrix_market(m: CooMatrix, path_or_file: str | IO[str]) -> None:
+    """Coordinate real symmetric MatrixMarket: the lower-triangle cells whose
+    bits are not all zero (so ``-0.0`` is kept), in row-major order, each value
+    the ``repr`` of its float64, which ``float`` reads back bit for bit.  A
+    matrix whose mirror cells differ in their bits (``-0.0`` against ``0.0``
+    or no cell included), which would not read back as written, or that holds
+    a value that is not finite, which the reader would reject, raises
+    PatternError."""
+    if not _is_symmetric(m.rows, m.cols, m.values.view(np.int64)):
+        raise PatternError("matrix is not symmetric")
+    keep = (m.rows >= m.cols) & (m.values.view(np.int64) != 0)
+    values = m.values[keep]
+    if not np.isfinite(values).all():
+        raise PatternError("a value that is not finite cannot be written as MatrixMarket")
+    entries = map("{} {} {!r}\n".format, (m.rows[keep] + 1).tolist(), (m.cols[keep] + 1).tolist(),
+                  values.tolist())
+    head = f"%%MatrixMarket matrix coordinate real symmetric\n{m.n} {m.n} {len(values)}\n"
+    write_text(head + "".join(entries), path_or_file)
+
+
+def write_dense_csv(matrix: np.ndarray | CooMatrix, path_or_file: str | IO[str]) -> None:
     """One line per row, each cell the ``repr`` of its float64 value.
 
     The text starts as the all-zero matrix, where every cell takes four
     characters (``0.0,`` or ``0.0`` and the newline).  Only the cells whose
     bits are not all zero are formatted, so ``-0.0`` keeps its sign; each is
-    spliced in at four times its flat index.
+    spliced in at four times its flat index.  A CooMatrix gives these cells
+    from its stored ones, so no dense array is made.
     """
-    a = np.ascontiguousarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise PatternError(f"need a 2-D matrix, got shape {a.shape}")
+    if isinstance(matrix, CooMatrix):
+        shape = matrix.shape
+        stored = np.flatnonzero(matrix.values.view(np.int64))
+        flat = matrix.rows[stored] * matrix.n + matrix.cols[stored]
+        values = matrix.values[stored]
+    else:
+        a = np.ascontiguousarray(matrix, dtype=float)
+        if a.ndim != 2:
+            raise PatternError(f"need a 2-D matrix, got shape {a.shape}")
+        shape = a.shape
+        flat = np.flatnonzero(a.ravel().view(np.int64))
+        values = a.ravel()[flat]
     # a matrix with no rows is written as one empty line
-    zeros = (",".join(["0.0"] * a.shape[1]) + "\n") * a.shape[0] or "\n"
-    flat = a.ravel()
-    nonzero = np.flatnonzero(flat.view(np.int64))
-    starts = 4 * nonzero
-    pieces = [None] * (2 * len(nonzero) + 1)
+    zeros = (",".join(["0.0"] * shape[1]) + "\n") * shape[0] or "\n"
+    starts = 4 * flat
+    pieces = [None] * (2 * len(flat) + 1)
     pieces[::2] = [zeros[lo:hi] for lo, hi in zip([0, *(starts + 3).tolist()],
                                                   [*starts.tolist(), len(zeros)])]
-    pieces[1::2] = map(repr, flat[nonzero].tolist())
+    pieces[1::2] = map(repr, values.tolist())
     # free each stage before the next, so that at most two copies of the text are alive
     del zeros
     text = "".join(pieces)

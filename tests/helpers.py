@@ -953,6 +953,147 @@ def frozenset_recover(b: np.ndarray, p: FrozensetPattern, s: SeedGrouping) -> np
     return out
 
 
+# -- dense Hessian path oracle --------------------------------------------------------
+# The MatrixMarket reader, compress and recover as they were before the matrix
+# became a CooMatrix: the reader fills a dense n x n array line by line, compress
+# multiplies by the dense seed matrix and recover fills a dense n x n array.
+
+
+def dense_parse_matrix_market(lines: Iterable[str], source: str = "<mtx>") -> np.ndarray:
+    """Coordinate Matrix Market reader (real, integer or pattern, symmetric or general);
+    general data must still be structurally symmetric.
+
+    Each cell may be listed once; in symmetric data (i, j) and (j, i) name the
+    same cell.  ``integer`` values follow ``int()`` rules.  A repeated cell, a
+    field that is not a number (``_`` included) or a value that is not finite
+    raises PatternError with ``source:line``; repeats and non-finite values are
+    found after the last line, so a malformed line anywhere in the file is
+    reported first.
+    """
+    it = iter(enumerate(lines, start=1))
+    try:
+        lineno, header = next(it)
+    except StopIteration:
+        raise PatternError(f"{source}: empty file") from None
+    fields = header.strip().lower().split()
+    if len(fields) != 5 or fields[0] != "%%matrixmarket" or fields[1] != "matrix":
+        raise PatternError(f"{source}:1: not a MatrixMarket header")
+    layout, kind, symmetry = fields[2], fields[3], fields[4]
+    if layout != "coordinate" or kind not in ("real", "integer", "pattern"):
+        raise PatternError(f"{source}:1: need coordinate real/integer/pattern")
+    if symmetry not in ("symmetric", "general"):
+        raise PatternError(f"{source}:1: need symmetric or general symmetry")
+
+    def integer(tok: str) -> float:
+        int(tok)  # the integer grammar: no point, exponent, nan or inf
+        return float(tok)
+
+    number = integer if kind == "integer" else float
+    n: int | None = None
+    expected = 0
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
+    entry_lines: list[int] = []
+    for lineno, raw in it:
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        parts = line.split()
+        if n is None:
+            if len(parts) != 3:
+                raise PatternError(f"{source}:{lineno}: expected 'rows cols nnz'")
+            try:
+                n, n_cols, expected = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise PatternError(f"{source}:{lineno}: non-numeric size line") from None
+            if n != n_cols:
+                raise PatternError(f"{source}:{lineno}: matrix must be square")
+            if n < 0:
+                raise PatternError(f"{source}:{lineno}: negative size")
+            continue
+        want = 2 if kind == "pattern" else 3
+        if len(parts) != want:
+            raise PatternError(f"{source}:{lineno}: expected {want} fields")
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            value = 1.0 if kind == "pattern" else number(parts[2])
+        except ValueError:
+            value = None
+        if value is None or "_" in line:  # int() and float() read 1_0 as 10
+            raise PatternError(f"{source}:{lineno}: non-numeric entry")
+        if not (0 <= i < n and 0 <= j < n):
+            raise PatternError(f"{source}:{lineno}: index out of range")
+        rows.append(i)
+        cols.append(j)
+        values.append(value)
+        entry_lines.append(lineno)
+    if n is None:
+        raise PatternError(f"{source}: missing size line")
+    vals = np.array(values, dtype=float)
+    non_finite = np.flatnonzero(~np.isfinite(vals))
+    if non_finite.size:
+        raise PatternError(f"{source}:{entry_lines[non_finite[0]]}: non-finite value")
+    general = symmetry == "general"
+    r, c = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    cells = r * n + c if general else np.maximum(r, c) * n + np.minimum(r, c)
+    order = np.argsort(cells, kind="stable")  # a repeat sorts after the cell's first entry
+    repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise PatternError(f"{source}:{entry_lines[k]}: duplicate entry ({r[k] + 1},{c[k] + 1})")
+    if len(values) != expected:
+        raise PatternError(f"{source}: declared {expected} entries, found {len(values)}")
+    matrix = np.zeros((n, n))
+    matrix[r, c] = vals
+    if not general:
+        matrix[c, r] = vals
+    if general and not np.array_equal(matrix != 0, (matrix != 0).T):
+        raise PatternError(f"{source}: general matrix is not structurally symmetric")
+    return matrix
+
+
+def dense_compress(h: np.ndarray, s: SeedGrouping, pattern) -> np.ndarray:
+    """Compressed product B = H . S by the dense product with the seed matrix;
+    entries outside the pattern (any object with n, rows and cols) are rejected."""
+    a = np.asarray(h, dtype=float)
+    n = len(s.colouring)
+    if a.shape != (n, n):
+        raise PatternError(f"matrix shape {a.shape} does not match grouping on {n} columns")
+    if not np.array_equal(a, a.T):
+        raise PatternError("matrix is not symmetric")
+    if pattern.n != n:
+        raise PatternError("grouping and pattern dimensions differ")
+    # a is symmetric, so the first stray entry in row-major order lies above the diagonal
+    outside = a != 0
+    outside[pattern.rows, pattern.cols] = outside[pattern.cols, pattern.rows] = False
+    np.fill_diagonal(outside, False)
+    if outside.any():
+        i, j = divmod(int(outside.argmax()), n)
+        raise PatternError(f"nonzero entry ({i},{j}) outside the sparsity pattern")
+    return a @ np.eye(s.k)[np.array(s.colouring.colours, dtype=np.intp)]
+
+
+def dense_recover(b: np.ndarray, p, s: SeedGrouping) -> np.ndarray:
+    """Rebuild the full symmetric matrix from the compressed product into a dense array."""
+    colouring = s.colouring
+    if len(colouring) != p.n:
+        raise PatternError("grouping and pattern dimensions differ")
+    graph = Graph.from_edge_list(p.n, np.column_stack((p.rows, p.cols)))
+    if not is_rs(graph, colouring):
+        raise ValueError("grouping is not an rs colouring of the pattern graph")
+    b = np.asarray(b, dtype=float)
+    if b.shape != (p.n, s.k):
+        raise PatternError(f"compressed shape {b.shape}, expected {(p.n, s.k)}")
+    c = np.array(colouring.colours, dtype=np.intp)
+    out = np.zeros((p.n, p.n))
+    np.fill_diagonal(out, b[np.arange(p.n), c])
+    hi = np.where(c[p.rows] > c[p.cols], p.rows, p.cols)
+    values = b[hi, c[p.rows + p.cols - hi]]  # the other endpoint has the lower colour
+    out[p.rows, p.cols] = out[p.cols, p.rows] = values
+    return out
+
+
 # -- dense CSV writer oracle ---------------------------------------------------------
 # The writer as it was before it formatted only the nonzero cells: repr of
 # every cell in a Python loop.

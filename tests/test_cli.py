@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import helpers
-from rscol import cli
-from rscol.colouring import Colouring, is_rs, parse_colouring, write_colouring_file
-from rscol.graph import Graph, path_graph, star_graph, write_graph_file
+from rscol import cli, solver
+from rscol.colouring import (
+    Colouring,
+    PartialColouring,
+    is_rs,
+    parse_colouring,
+    write_colouring_file,
+)
+from rscol.graph import Graph, cycle_graph, path_graph, star_graph, write_graph_file
 from rscol.hessian import read_dense_csv, read_matrix_market
 
 
@@ -152,6 +158,30 @@ class TestSolve:
         with open(witness) as fh:
             c = parse_colouring(fh, 16)
         assert is_rs(g, Colouring.of(c.colours, k=4))
+
+    def test_threads_stop_at_the_first_yes(self, tmp_path, capsys):
+        # on the 7-cycle the root (vertex 0) coloured 0 already answers YES, so the
+        # searches for colours 1 and 2 are not waited for and their nodes not counted
+        g = cycle_graph(7)
+        write_graph_file(g, str(tmp_path / "c7.gr"))
+        first = solver.decide_k_rs(g, 3, pre=PartialColouring.of(7, {0: 0}, 3))
+        assert first.status is solver.SolveStatus.YES
+        witness = tmp_path / "w.col"
+        code, token, out = run_cli(capsys, "solve", "--task", "decide-rs", "-g", tmp_path / "c7.gr",
+                                   "-k", "3", "--threads", "2", "--witness-out", witness)
+        assert (code, token) == (0, "YES")
+        assert out.splitlines()[1] == f"nodes: {first.nodes}"
+        with open(witness) as fh:
+            assert parse_colouring(fh, 7).colours == first.witness.colours
+
+    def test_threads_sum_nodes_up_to_the_first_yes(self):
+        # leaf 1 precoloured 0: the centre coloured 0 is refuted, coloured 1 answers YES
+        g = star_graph(3)
+        runs = [solver.decide_k_rs(g, 3, pre=PartialColouring.of(4, {1: 0, 0: c}, 3)) for c in (0, 1)]
+        assert [r.status for r in runs] == [solver.SolveStatus.NO, solver.SolveStatus.YES]
+        result = cli._decide_rs(g, 3, solver.SolveBudget(), 2, PartialColouring.of(4, {1: 0}, 3))
+        assert result.status is solver.SolveStatus.YES
+        assert (result.nodes, result.witness) == (runs[0].nodes + runs[1].nodes, runs[1].witness)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("k", ["0", "-1"])
@@ -311,8 +341,22 @@ class TestHessianCommands:
             "--groups", groups, "-o", rec,
         )
         assert (code, token) == (0, "OK")
-        original = read_matrix_market(str(workdir / "h.mtx"))
+        original = read_matrix_market(str(workdir / "h.mtx")).toarray()
         assert np.abs(read_dense_csv(str(rec)) - original).max() <= 1e-12
+
+    def test_recover_to_matrix_market(self, workdir, capsys):
+        # a .mtx output is MatrixMarket; every other suffix is dense CSV
+        b_csv, groups = workdir / "b.csv", workdir / "groups.col"
+        run_cli(capsys, "hess-compress", "-m", workdir / "h.mtx", "-o", b_csv, "--groups", groups)
+        for out in (workdir / "rec.mtx", workdir / "rec.csv"):
+            code, token, text = run_cli(capsys, "hess-recover", "--compressed", b_csv, "--pattern",
+                                        workdir / "h.mtx", "--groups", groups, "-o", out)
+            assert (code, token, text.splitlines()[1]) == (0, "OK", "shape: 5x5")
+        assert (workdir / "rec.mtx").read_text().startswith(
+            "%%MatrixMarket matrix coordinate real symmetric\n5 5 9\n")
+        back = read_matrix_market(str(workdir / "rec.mtx")).toarray()
+        assert np.array_equal(back.view(np.int64), read_dense_csv(str(workdir / "rec.csv")).view(np.int64))
+        assert np.array_equal(back, read_matrix_market(str(workdir / "h.mtx")).toarray())
 
     def test_recover_rejects_non_rs_groups(self, workdir, capsys):
         # on the path behind h.mtx, 1-0-1 is a bicoloured path with a low middle
@@ -429,13 +473,18 @@ class TestErrors:
             assert (code, token) == (2, "ERROR")
             assert out.splitlines()[1] == f"{flag}: {message}"
 
-    # each size fails at once: no list or array of it fits in any address space
+    # each size fails at once: no list or array of the graph sizes fits in any address
+    # space; the first matrix side needs more memory per row (hessian.ROW_BYTES) than
+    # the machine has, and the second is past hessian.MAX_SIDE, where a cell key
+    # i * n + j leaves int64
     @pytest.mark.parametrize("command, name, text", [
         ("tree3rs", "huge.gr", "p edge 100000000000000000000 0\n"),
         ("tree3rs", "huge.gr", "p edge 100000000000000000 0\n"),
         ("hess-compress", "huge.mtx",
          "%%MatrixMarket matrix coordinate real symmetric\n400000000 400000000 1\n1 1 1.0\n"),
-    ], ids=["index-overflow", "list-memory", "array-memory"])
+        ("hess-compress", "huge.mtx",
+         "%%MatrixMarket matrix coordinate real symmetric\n4000000000 4000000000 1\n1 1 1.0\n"),
+    ], ids=["index-overflow", "list-memory", "array-memory", "key-overflow"])
     def test_oversized_input_is_an_error(self, tmp_path, capsys, command, name, text):
         (tmp_path / name).write_text(text)
         flag = "-g" if command == "tree3rs" else "-m"

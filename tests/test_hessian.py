@@ -2,16 +2,21 @@ import io
 import math
 import random
 import re
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from rscol import hessian
 from rscol.colouring import Colouring, is_rs
 from rscol.graph import Graph, path_graph, star_graph
 from rscol.hessian import (
+    CooMatrix,
     PatternError,
     SeedGrouping,
     SparsityPattern,
@@ -20,8 +25,11 @@ from rscol.hessian import (
     parse_matrix_market,
     pattern_to_graph,
     read_dense_csv,
+    read_matrix_market,
     recover,
+    recover_entries,
     write_dense_csv,
+    write_matrix_market,
 )
 from rscol.solver import rs_chromatic_number
 
@@ -234,12 +242,12 @@ class TestRecover:
 class TestMatrixMarket:
     def test_symmetric_real(self):
         text = "%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n1 1 2.0\n2 2 3.0\n2 1 -1.5\n3 3 1.0\n"
-        m = parse_matrix_market(io.StringIO(text))
+        m = parse_matrix_market(io.StringIO(text)).toarray()
         assert m[0, 1] == -1.5 and m[1, 0] == -1.5
 
     def test_pattern_kind(self):
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n"
-        m = parse_matrix_market(io.StringIO(text))
+        m = parse_matrix_market(io.StringIO(text)).toarray()
         assert m[1, 0] == 1.0 and m[0, 1] == 1.0
 
     def test_general_must_be_structurally_symmetric(self):
@@ -285,7 +293,7 @@ class TestMatrixMarket:
 
     def test_integer_values(self):
         text = "%%MatrixMarket matrix coordinate integer symmetric\n2 2 2\n1 1 -3\n2 1 +7\n"
-        m = parse_matrix_market(io.StringIO(text))
+        m = parse_matrix_market(io.StringIO(text)).toarray()
         assert m.tolist() == [[-3.0, 7.0], [7.0, 0.0]]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
@@ -309,7 +317,7 @@ class TestMatrixMarket:
 
     def test_general_mirror_is_a_different_cell(self):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 5.0\n1 2 5.0\n"
-        m = parse_matrix_market(io.StringIO(text))
+        m = parse_matrix_market(io.StringIO(text)).toarray()
         assert m[0, 1] == 5.0 and m[1, 0] == 5.0
 
     def test_general_repeated_coordinate_rejected(self):
@@ -322,6 +330,45 @@ class TestMatrixMarket:
         path = str(tmp_path / "m.csv")
         write_dense_csv(m, path)
         assert np.array_equal(read_dense_csv(path), m)
+
+
+# -- the compressed product against exact sums ------------------------------------------
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def assert_seed_product(b, h, s: SeedGrouping, bit_exact: bool = False) -> None:
+    """b is H . S for the dense symmetric h.  Each cell is compared with the
+    exact sum of its nonzero terms (``math.fsum``).  A cell of at most one term
+    has no rounding in any summation order, so it must equal that sum (bit for
+    bit, +0.0 for no term, with `bit_exact`); a cell of m >= 2 terms may be
+    summed in any order, so it must lie within the recursive-summation bound
+    gamma_m * sum |terms|, gamma_m = m u / (1 - m u)."""
+    h = np.asarray(h, dtype=float)
+    n, k = h.shape[0], s.k
+    assert np.shape(b) == (n, k)
+    colours = s.colouring.colours
+    terms = defaultdict(list)
+    for i, j in zip(*np.nonzero(h)):
+        terms[i, colours[j]].append(float(h[i, j]))
+    exact, count, size = np.zeros((n, k)), np.zeros((n, k)), np.zeros((n, k))
+    for cell, ts in terms.items():
+        exact[cell], count[cell], size[cell] = math.fsum(ts), len(ts), math.fsum(map(abs, ts))
+    single = count <= 1
+    if bit_exact:
+        assert np.array_equal(bits(np.asarray(b)[single]), bits(exact[single]))
+    else:
+        assert np.array_equal(np.asarray(b)[single], exact[single])
+    gamma = count * UNIT_ROUNDOFF / (1 - count * UNIT_ROUNDOFF)
+    assert (np.abs(np.asarray(b) - exact) <= gamma * size).all()
+
+
+def seed_matrix(s: SeedGrouping) -> np.ndarray:
+    return np.eye(s.k)[np.array(s.colouring.colours, dtype=np.intp)]
 
 
 # -- the index-array pattern against the frozenset pattern it replaced ---------------
@@ -380,7 +427,9 @@ class TestFrozensetOracle:
         for order in ("natural", "largest_degree_first"):
             s = SeedGrouping.from_colouring(g, greedy_rs_colouring(g, order))
             b = compress(h, s, new)
-            assert np.array_equal(b, helpers.frozenset_compress(h, s, old))
+            # a cell that sums two or more terms may round differently from the dense product
+            assert_seed_product(b, h, s, bit_exact=True)
+            assert_seed_product(helpers.frozenset_compress(h, s, old), h, s)
             out = recover(b, new, s)
             assert np.array_equal(out, helpers.frozenset_recover(b, old, s))
             assert np.array_equal(out, h)
@@ -420,6 +469,355 @@ class TestFrozensetOracle:
         b = rnd.choice([np.ones((n, 3)), np.ones((n, 2))])
         assert_same(outcome(lambda: recover(b, new, arbitrary)),
                     outcome(lambda: helpers.frozenset_recover(b, old, arbitrary)))
+
+
+# -- the COO kernel against the dense path it replaced ----------------------------------
+
+
+def assert_row_major(m: CooMatrix) -> None:
+    keys = m.rows.astype(np.int64) * m.n + m.cols
+    assert (np.diff(keys) > 0).all()  # distinct cells, in row-major order
+
+
+class TestCooKernel:
+    @ORACLE
+    @given(patterned_matrices())
+    def test_same_product_and_matrix_as_the_dense_path(self, case):
+        n, pairs, h, rnd = case
+        p = SparsityPattern.from_pairs(n, pairs)
+        coo = CooMatrix.from_dense(h)
+        assert_row_major(coo)
+        assert np.array_equal(coo.toarray(), h)
+        assert SparsityPattern.from_coo(coo).rows.tolist() == p.rows.tolist()
+        assert SparsityPattern.from_coo(coo).cols.tolist() == p.cols.tolist()
+        g = pattern_to_graph(p)
+        s = SeedGrouping.from_colouring(
+            g, greedy_rs_colouring(g, rnd.choice(["natural", "largest_degree_first"])))
+        b = compress(coo, s, p)
+        assert np.array_equal(bits(b), bits(compress(h, s, p)))  # one kernel for both callers
+        assert_seed_product(b, h, s, bit_exact=True)
+        assert_seed_product(helpers.dense_compress(h, s, p), h, s)
+        assert_seed_product(scipy.sparse.csr_array(h) @ seed_matrix(s), h, s)
+        entries = recover_entries(b, p, s)
+        assert_row_major(entries)
+        assert len(entries.values) == n + 2 * len(p.rows)
+        assert np.array_equal(bits(entries.toarray()), bits(helpers.dense_recover(b, p, s)))
+        assert np.array_equal(bits(recover(b, p, s)), bits(entries.toarray()))
+        assert np.array_equal(entries.toarray(), h)
+
+    @ORACLE
+    @given(patterned_matrices())
+    def test_same_errors_as_the_dense_path(self, case):
+        n, pairs, h, rnd = case
+        p = SparsityPattern.from_pairs(n, pairs)
+        s = SeedGrouping(greedy_rs_colouring(pattern_to_graph(p)))
+        listed = {(min(i, j), max(i, j)) for i, j in pairs}
+        free = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in listed]
+        bad = h.copy()
+        for i, j in rnd.sample(free, min(len(free), rnd.randint(0, 3))):
+            bad[i, j] = bad[j, i] = rnd.uniform(0.5, 10.0)
+        if n >= 2 and rnd.random() < 0.5:
+            i, j = rnd.sample(range(n), 2)
+            bad[i, j] += 1.0
+        wrong = rnd.choice([s, SeedGrouping(Colouring.of([0] * (n + 1)))])
+        other = rnd.choice([p, SparsityPattern.from_pairs(n + 1, [])])
+        want = outcome(lambda: helpers.dense_compress(bad, wrong, other))
+        got = outcome(lambda: compress(CooMatrix.from_dense(bad), wrong, other))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_seed_product(got, bad, wrong, bit_exact=True)
+        colours = [rnd.randrange(3) for _ in range(n)]
+        arbitrary = SeedGrouping(Colouring.of(colours, k=3))  # rs or not
+        b = rnd.choice([np.ones((n, 3)), np.ones((n, 2))])
+        want = outcome(lambda: helpers.dense_recover(b, p, arbitrary))
+        got = outcome(lambda: recover_entries(b, p, arbitrary).toarray())
+        assert_same(got, want)
+
+    def test_explicit_zeros_are_no_entries(self):
+        # stored zeros, -0.0 among them, are neither pattern pairs nor stray entries
+        coo = CooMatrix(3, np.array([0, 0, 1, 2]), np.array([0, 2, 1, 0]), np.array([2.0, -0.0, 0.0, 0.0]))
+        p = SparsityPattern.from_coo(coo)
+        assert (p.rows.size, p.cols.size) == (0, 0)
+        s = SeedGrouping(greedy_rs_colouring(pattern_to_graph(p)))
+        assert np.array_equal(bits(compress(coo, s, p)), bits([[2.0], [0.0], [0.0]]))
+
+    def test_no_cells(self):
+        empty = CooMatrix(0, np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+        s = SeedGrouping(Colouring.of([]))
+        p = SparsityPattern.from_coo(empty)
+        assert compress(empty, s, p).shape == (0, 0)
+        assert recover_entries(np.zeros((0, 0)), p, s).toarray().shape == (0, 0)
+
+
+# -- the MatrixMarket reader against the dense reader it replaced --------------------------
+
+MM_SOURCE = "h.mtx"
+READER = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# the line mutations the whole-file path refuses, so that the line scanner names them
+LINE_MUTATIONS = ["comment", "blank", "underscore", "junk", "range", "fields"]
+FILE_MUTATIONS = ["non-finite", "repeat", "mirror", "count", "drop", "spacing", "zero"]
+
+
+def number_token(kind: str, rnd: random.Random) -> str:
+    if kind == "integer":
+        return rnd.choice(["3", "-7", "+12", "007", "١٢", str(rnd.randint(-10**20, 10**20)),
+                           str(rnd.randint(-99, 99))])
+    return rnd.choice(["-2.5", "1E5", ".5", "3.", "+4", "1e-320", "5e-324", "٣.٥",
+                       repr(rnd.uniform(-10.0, 10.0)),
+                       repr(rnd.random() * 10.0 ** rnd.randint(-300, 300))])
+
+
+@st.composite
+def matrix_market_texts(draw):
+    """(text, entries, clean): a MatrixMarket file over a symmetric structure,
+    then mutated; entries are its entry lines, and clean says that every line
+    is well formed, so that the whole-file path must read it."""
+    kind = draw(st.sampled_from(["real", "integer", "pattern"]))
+    symmetry = draw(st.sampled_from(["symmetric", "general"]))
+    n = draw(st.integers(0, 7))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = rnd.choice([0.2, 0.5, 1.0])
+    cells = []
+    for i, j in [(i, j) for i in range(n) for j in range(i + 1) if rnd.random() < density]:
+        if symmetry == "general":
+            cells += [(i, j), (j, i)] if i != j else [(i, i)]
+        else:
+            cells.append((i, j) if rnd.random() < 0.5 else (j, i))
+    rnd.shuffle(cells)
+    value = {}
+    for i, j in cells:  # in general data both cells of a pair get one value
+        value.setdefault((max(i, j), min(i, j)), number_token(kind, rnd))
+    entries = [f"{i + 1} {j + 1}" + ("" if kind == "pattern" else f" {value[max(i, j), min(i, j)]}")
+               for i, j in cells]
+    inserted: list[tuple[int, str]] = []
+    delta = 0
+    mutations = draw(st.lists(st.sampled_from(LINE_MUTATIONS + FILE_MUTATIONS), max_size=3))
+    for mutation in mutations:
+        if mutation in ("comment", "blank"):
+            spellings = ["%", "% note", "  %x 1 2"] if mutation == "comment" else ["", "  ", "\t"]
+            inserted.append((rnd.randint(0, len(entries)), rnd.choice(spellings)))
+            continue
+        if mutation == "count":
+            delta += rnd.choice([-1, 1])
+            continue
+        if not entries:
+            continue
+        t = rnd.randrange(len(entries))
+        fields = entries[t].split()
+        if len(fields) < (3 if mutation in ("non-finite", "zero") else 2):  # a line cut short before
+            continue
+        if mutation in ("repeat", "mirror"):
+            again = fields if mutation == "repeat" else [fields[1], fields[0], *fields[2:]]
+            entries.insert(rnd.randint(0, len(entries)), " ".join(again))
+            continue
+        if mutation == "drop":
+            del entries[t]
+            continue
+        if mutation == "spacing":
+            entries[t] = rnd.choice(["\t", "  ", " \x0c"]).join(fields) + rnd.choice(["", " ", "\t"])
+            continue
+        if mutation == "underscore":
+            fields[rnd.randrange(len(fields))] = rnd.choice(["1_0", "_1", "1_"])
+        elif mutation == "junk":
+            fields[-1] = rnd.choice(["x", "1.5" if kind == "integer" else "0x1", "--1", "1e"])
+        elif mutation == "range":
+            fields[rnd.randrange(2)] = rnd.choice(["0", str(n + 1), "-1"])
+        elif mutation == "fields":
+            fields = fields[:-1] if rnd.random() < 0.5 else fields + ["1"]
+        elif mutation == "non-finite":
+            fields[2] = rnd.choice(["nan", "-inf", "Infinity", "1e400"])
+        else:  # an explicit zero
+            fields[2] = rnd.choice(["0", "-0", "0.0", "-0.0", "0e5"] if kind == "real" else ["0", "-0"])
+        entries[t] = " ".join(fields)
+    lines = list(entries)
+    for at, line in sorted(inserted, reverse=True):
+        lines.insert(at, line)
+    header = rnd.choice([f"%%MatrixMarket matrix coordinate {kind} {symmetry}",
+                         f"%%MatrixMarket MATRIX Coordinate {kind.upper()} {symmetry.title()}"])
+    preamble = rnd.sample(["% written by hand", "", "%", "   "], rnd.randint(0, 2))
+    sep = rnd.choice(["\n", "\n", "\r\n"])
+    text = sep.join([header, *preamble, f"{n} {n} {len(entries) + delta}", *lines])
+    text += rnd.choice(["", sep])
+    def fits(line: str) -> bool:  # an integer past int64, or nan, goes to the line scanner
+        try:
+            return -2**63 <= int(line.split()[2]) < 2**63
+        except ValueError:
+            return False
+
+    clean = not set(mutations) & set(LINE_MUTATIONS) and (kind != "integer" or all(map(fits, entries)))
+    return text, entries, clean
+
+
+def outcome_of_reading(text: str, lines: bool):
+    return outcome(lambda: parse_matrix_market(text.split("\n") if lines and text else
+                                               [] if lines else text, MM_SOURCE))
+
+
+class TestMatrixMarketOracle:
+    @READER
+    @given(matrix_market_texts(), st.booleans())
+    def test_same_entries_or_same_error(self, case, lines):
+        text, entries, clean = case
+        want = outcome(lambda: helpers.dense_parse_matrix_market(text.split("\n"), MM_SOURCE))
+        if clean and not lines:  # well-formed lines are read by the whole-file path
+            assert hessian._entry_arrays(text, MM_SOURCE) is not None
+        got = outcome_of_reading(text, lines)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, CooMatrix) and got.n == want.shape[0]
+        assert_row_major(got)
+        # every listed cell is stored, and in symmetric data its mirror too
+        symmetric = "symmetric" in text.split("\n")[0].lower()
+        pairs = [tuple(line.split()[:2]) for line in entries]
+        assert len(got.values) == len(pairs) + symmetric * sum(i != j for i, j in pairs)
+        assert np.array_equal(bits(got.toarray()), bits(want))
+        assert np.array_equal(bits(got.values), bits(want[got.rows, got.cols]))
+
+    @READER
+    @given(matrix_market_texts())
+    def test_pattern_compress_recover_as_the_dense_path(self, case):
+        text, _, _ = case
+        try:
+            want = helpers.dense_parse_matrix_market(text.split("\n"), MM_SOURCE)
+        except PatternError:
+            return
+        m = parse_matrix_market(text, MM_SOURCE)
+        old = outcome(lambda: Frozen.from_dense(want))
+        p = outcome(lambda: SparsityPattern.from_coo(m))
+        if isinstance(old, tuple):
+            assert p == old
+            return
+        assert list(zip(p.rows.tolist(), p.cols.tolist())) == sorted(old.offdiag)
+        s = SeedGrouping(greedy_rs_colouring(pattern_to_graph(p)))
+        b = outcome(lambda: compress(m, s, p))
+        if isinstance(b, tuple):
+            assert b == outcome(lambda: helpers.dense_compress(want, s, p))
+            return
+        assert_seed_product(b, want, s, bit_exact=True)
+        out = recover_entries(b, p, s)
+        assert np.array_equal(bits(out.toarray()), bits(helpers.dense_recover(b, p, s)))
+        assert np.array_equal(out.toarray(), want)
+
+    def test_fast_path_names_post_line_errors_at_their_line(self):
+        text = "%%MatrixMarket matrix coordinate real general\n% c\n\n2 2 2\n2 1 1.0\n1 1 nan\n"
+        assert hessian._entry_arrays(text, "m.mtx") is not None
+        with pytest.raises(PatternError, match=r"^m\.mtx:6: non-finite value$"):
+            parse_matrix_market(text, "m.mtx")
+
+    def test_side_past_int64_keys(self):
+        text = f"%%MatrixMarket matrix coordinate real symmetric\n{hessian.MAX_SIDE + 1} " \
+               f"{hessian.MAX_SIDE + 1} 1\n1 1 1.0\n"
+        with pytest.raises(OverflowError):
+            parse_matrix_market(text, "m.mtx")
+
+    @pytest.mark.skipif(hessian._physical_memory() is None, reason="the OS does not give its memory")
+    def test_side_past_memory(self):
+        # one row more than the machine's memory holds at ROW_BYTES a row is refused;
+        # the largest side that fits reads as a one-cell matrix
+        fits = hessian._physical_memory() // hessian.ROW_BYTES
+        for n in (fits + 1, fits):
+            text = f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} 1\n{n} {n} 2.0\n"
+            if n > fits:
+                with pytest.raises(MemoryError, match=rf"^m\.mtx: matrix side {n} needs more than"):
+                    parse_matrix_market(text, "m.mtx")
+            else:
+                m = parse_matrix_market(text, "m.mtx")
+                assert (m.n, m.rows.tolist(), m.cols.tolist(), m.values.tolist()) == (n, [n - 1], [n - 1], [2.0])
+
+
+# -- the MatrixMarket writer ------------------------------------------------------------
+
+SPECIAL_FINITE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+                  1 / 3, -1.5, 1e16, 123456789.0]
+
+
+def symmetric_coo(n: int, pairs, rnd: random.Random) -> CooMatrix:
+    """Every diagonal cell and both cells of every pair, each pair with one value
+    drawn from special finite values and uniform ones."""
+    def draw():
+        return rnd.choice(SPECIAL_FINITE) if rnd.random() < 0.4 else rnd.uniform(-10.0, 10.0)
+
+    cells = {(v, v): draw() for v in range(n)}
+    for i, j in pairs:
+        cells[i, j] = cells[j, i] = cells.get((j, i), draw())
+    ordered = sorted(cells)
+    rows = np.array([i for i, _ in ordered], dtype=np.intp)
+    cols = np.array([j for _, j in ordered], dtype=np.intp)
+    return CooMatrix(n, rows, cols, np.array([cells[c] for c in ordered], dtype=float))
+
+
+class TestMatrixMarketWriter:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(patterned_matrices())
+    def test_round_trip_keeps_every_bit(self, tmp_path, case):
+        n, pairs, _, rnd = case
+        m = symmetric_coo(n, pairs, rnd)
+        path = str(tmp_path / "h.mtx")
+        write_matrix_market(m, path)
+        back = read_matrix_market(path)
+        written = np.flatnonzero(bits(m.values))  # +0.0 cells are left out, -0.0 ones kept
+        assert back.n == n
+        assert np.array_equal(back.rows, m.rows[written])
+        assert np.array_equal(back.cols, m.cols[written])
+        assert np.array_equal(bits(back.values), bits(m.values[written]))
+
+    def test_lower_triangle_repr_per_cell(self):
+        m = CooMatrix(2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([-0.0, 0.1, 0.1, 0.0]))
+        out = io.StringIO()
+        write_matrix_market(m, out)
+        assert out.getvalue() == ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n"
+                                  "1 1 -0.0\n2 1 0.1\n")
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, 2.0, 3.0, 1.0], "matrix is not symmetric"),
+        ([math.inf, 2.0, 2.0, 1.0], "not finite"),
+        ([1.0, math.nan, math.nan, 1.0], "not finite"),
+        ([1.0, 0.0, -0.0, 1.0], "matrix is not symmetric"),  # -0.0 would be read into both
+        ([1.0, -0.0, 0.0, 1.0], "matrix is not symmetric"),
+        ([1.0, None, -0.0, 1.0], "matrix is not symmetric"),  # None: the cell is not stored
+    ])
+    def test_rejects_what_the_reader_would(self, values, message):
+        stored = [t for t, v in enumerate(values) if v is not None]
+        m = CooMatrix(2, np.array([0, 0, 1, 1])[stored], np.array([0, 1, 0, 1])[stored],
+                      np.array([values[t] for t in stored]))
+        with pytest.raises(PatternError, match=message):
+            write_matrix_market(m, io.StringIO())
+
+
+# -- no dense n x n array on the COO path ------------------------------------------------------
+
+
+class TestNoDenseArray:
+    def test_grid_of_20000_stays_sparse(self, tmp_path):
+        # one dense n x n float64 array would take 3.2 GB; tracemalloc sees numpy's buffers
+        side = 141
+        n = side * side
+        grid = np.arange(n).reshape(side, side)
+        lo = np.concatenate((grid[:, :-1].ravel(), grid[:-1, :].ravel()))
+        hi = np.concatenate((grid[:, 1:].ravel(), grid[1:, :].ravel()))
+        rng = np.random.default_rng(20000)
+        diagonal, off = rng.uniform(0.5, 2.0, n), rng.uniform(-2.0, -0.5, lo.size)
+        rows = np.concatenate((np.arange(n), lo, hi))
+        cols = np.concatenate((np.arange(n), hi, lo))
+        order = np.argsort(rows * n + cols)
+        h = CooMatrix(n, rows[order], cols[order], np.concatenate((diagonal, off, off))[order])
+        path = str(tmp_path / "h.mtx")
+        write_matrix_market(h, path)
+        tracemalloc.start()
+        try:
+            m = read_matrix_market(path)
+            pattern = SparsityPattern.from_coo(m)
+            s = SeedGrouping(greedy_rs_colouring(pattern_to_graph(pattern)))
+            out = recover_entries(compress(m, s, pattern), pattern, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.array_equal(out.rows, h.rows) and np.array_equal(out.cols, h.cols)
+        assert np.array_equal(bits(out.values), bits(h.values))
 
 
 # -- the dense CSV writer against the repr-per-cell writer it replaced ---------------
