@@ -378,7 +378,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _emit("ERROR", f"usage error: {exc}")
     except (OSError, ValueError) as exc:
         return _emit("ERROR", str(exc))
-    except RecursionError:  # the exact searches recurse once per vertex
+    except RecursionError:  # only the treedepth DP of chi-ordered recurses, once per rank
         return _emit("ERROR", "graph too large for exact search")
     except (MemoryError, OverflowError):  # a declared size no array or list can hold
         return _emit("ERROR", "input too large")

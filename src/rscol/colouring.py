@@ -43,11 +43,12 @@ class Colouring:
     def __len__(self) -> int:
         return len(self.colours)
 
-    def colour_classes(self) -> list[list[int]]:
-        classes: list[list[int]] = [[] for _ in range(self.k)]
+    def colour_classes(self) -> dict[int, list[int]]:
+        """The vertices of each colour in use, keyed by colour in increasing order."""
+        classes: dict[int, list[int]] = {}
         for v, c in enumerate(self.colours):
-            classes[c].append(v)
-        return classes
+            classes.setdefault(c, []).append(v)
+        return dict(sorted(classes.items()))
 
 
 @dataclass(frozen=True)
@@ -167,19 +168,18 @@ def is_ordered(g: Graph, c: Colouring) -> bool:
             x = parent[x]
         return x
 
-    classes = c.colour_classes()
     added = [False] * g.n
-    for i in range(c.k):
-        for v in classes[i]:
+    for members in c.colour_classes().values():
+        for v in members:
             added[v] = True
-        for v in classes[i]:
+        for v in members:
             for w in g.neighbours(v):
                 if added[w]:
                     ru, rw = find(v), find(w)
                     if ru != rw:
                         parent[ru] = rw
         roots_seen: set[int] = set()
-        for v in classes[i]:
+        for v in members:
             r = find(v)
             if r in roots_seen:
                 return False

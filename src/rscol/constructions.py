@@ -436,10 +436,10 @@ def star_to_ordered_cobipartite(
     if not is_star(g, sc):
         raise ValueError("input is not an accepted star colouring")
     classes = sc.colour_classes()
-    if any(len(cl) > 2 for cl in classes):
+    if any(len(cl) > 2 for cl in classes.values()):
         raise GraphError("colour class of size > 2: partition sides cannot be cliques")
-    pairs = [i for i, cl in enumerate(classes) if len(cl) == 2]
-    singles = [i for i, cl in enumerate(classes) if len(cl) == 1]
+    pairs = [i for i, cl in classes.items() if len(cl) == 2]
+    singles = [i for i, cl in classes.items() if len(cl) == 1]
     relabel: dict[int, int] = {}
     for new, old in enumerate(pairs + singles):
         relabel[old] = new

@@ -513,9 +513,10 @@ def write_dense_csv(matrix: np.ndarray | CooMatrix, path_or_file: str | IO[str])
 
 def read_dense_csv(path: str) -> np.ndarray:
     """A field that is not a number (``_`` included, which ``float`` would
-    skip), a row whose length differs from the first row's, or bytes that are
-    not UTF-8 raise PatternError with ``path:line``.  A file with no nonblank
-    line reads as a 0 x 0 matrix."""
+    skip), a value that is not finite (``nan``, ``inf``, ``1e400``), a row whose
+    length differs from the first row's, or bytes that are not UTF-8 raise
+    PatternError with ``path:line``.  A file with no nonblank line reads as a
+    0 x 0 matrix."""
     rows: list[list[float]] = []
     for lineno, line in enumerate(read_text(path, PatternError).split("\n"), start=1):
         if not line.strip():
@@ -526,6 +527,8 @@ def read_dense_csv(path: str) -> np.ndarray:
             row = None
         if row is None or "_" in line:  # float() reads 1_0 as 10
             raise PatternError(f"{path}:{lineno}: non-numeric field")
+        if not all(map(math.isfinite, row)):
+            raise PatternError(f"{path}:{lineno}: non-finite value")
         if rows and len(row) != len(rows[0]):
             raise PatternError(f"{path}:{lineno}: expected {len(rows[0])} fields")
         rows.append(row)

@@ -3,15 +3,19 @@
 These are the ground truth the fast testers are measured against; they favour
 correctness and strong propagation over raw speed.  rs and star colourings are
 decided by one backtracking engine, `_run`: up to roughly 40 vertices for 3-rs
-decisions, ~10 vertices for their chromatic numbers.  Depth d colours the
-uncoloured vertex with the most coloured neighbours, then the highest degree,
-then the lowest index: a maximum-cardinality-search order (Tarjan & Yannakakis,
-1984) that the depth fixes, not DSATUR's distinct-colour count (Brélaz, 1979).
-The star rule is checked per edge: a proper colouring has a bicoloured P4
-exactly when some edge xy has two neighbours of x coloured c(y) and two of y
-coloured c(x).  Ordered colourings are decided through treedepth by an exact DP
-over connected vertex subsets held as int bitmasks: up to about 25 vertices when
-sparse and 16 when dense, where budget nodes count DP subproblems.
+decisions, ~10 vertices for their chromatic numbers.  It loops over depths and
+picks depth d's vertex on the first visit to d: the uncoloured vertex with the
+most coloured neighbours, then the highest degree, then the lowest index, a
+maximum-cardinality-search order (Tarjan & Yannakakis, 1984), not DSATUR's
+distinct-colour count (Brélaz, 1979).  A vertex's colour is the cursor to its
+next colour.  `max_independent_set` loops over a stack of open nodes, so the
+node and time budget (`_NodeCount`) is the only limit of both searches.  The
+star rule is checked per edge: a proper colouring has a bicoloured P4 exactly
+when some edge xy has two neighbours of x coloured c(y) and two of y coloured
+c(x).  Ordered colourings are decided through treedepth by an exact DP over
+connected vertex subsets held as int bitmasks: up to about 25 vertices when
+sparse and 16 when dense, where budget nodes count DP subproblems.  The DP
+recurses once per rank, so the recursion limit bounds it too.
 """
 
 from __future__ import annotations
@@ -59,28 +63,37 @@ class _BudgetHit(Exception):
     pass
 
 
-class _Search:
+class _NodeCount:
+    """A search's node count and its one check of both budget limits."""
+
+    def __init__(self, budget: SolveBudget):
+        self.budget, self.nodes = budget, 0
+        self.deadline = time.monotonic() + budget.time_limit
+
+    def over_budget(self) -> bool:
+        """Count one more node: is it past the node cap, or past the deadline (read every 4096)?"""
+        self.nodes += 1
+        return self.nodes > self.budget.max_nodes or (
+            self.nodes % 4096 == 0 and time.monotonic() > self.deadline)
+
+
+class _Search(_NodeCount):
     """Backtracking state: colours, per-vertex counts of neighbours in each colour
     class, and the rs and star rules checked against them; `_run` picks the order."""
 
     def __init__(self, g: Graph, k: int, budget: SolveBudget):
+        super().__init__(budget)
         self.k = k
-        self.budget = budget
         self.adj = [list(g.neighbours(v)) for v in range(g.n)]
         self.colour = [-1] * g.n
         # cnt[v][c] = number of neighbours of v currently coloured c
         self.cnt = [[0] * k for _ in range(g.n)]
-        self.nodes = 0
-        self.deadline = time.monotonic() + budget.time_limit
 
     def place(self, v: int, col: int) -> None:
         self.colour[v] = col
         for u in self.adj[v]:
             self.cnt[u][col] += 1
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _BudgetHit
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.over_budget():
             raise _BudgetHit
 
     def unplace(self, v: int, col: int) -> None:
@@ -99,8 +112,7 @@ class _Search:
                 return False  # v would have two neighbours in a lower class
         colour = self.colour
         for u in self.adj[v]:
-            cu = colour[u]
-            if cu > col and self.cnt[u][col]:
+            if colour[u] > col and self.cnt[u][col]:
                 return False  # u would gain a second neighbour coloured col
         return True
 
@@ -142,11 +154,11 @@ def _run(
     kind: str,
     pre: PartialColouring | None,
     budget: SolveBudget,
-    on_witness: Callable[[Colouring], bool],
+    on_witness: Callable[[Colouring], object],
 ) -> SolveResult:
-    """The one engine of rs and star search; on_witness returns True to stop at
-    this witness.  Star colour classes are unordered, so star search offers a
-    vertex only the colours in use plus one new colour."""
+    """The one engine of rs and star search; on_witness returns a true value to
+    stop at this witness.  Star colour classes are unordered, so star search
+    offers a vertex only the colours in use (used[d] at depth d) plus one new colour."""
     s = _Search(g, k, budget)
     feasible = s.rs_feasible if kind == "rs" else s.star_feasible
     unordered = kind == "star"
@@ -163,31 +175,39 @@ def _run(
         # The order rule counts coloured neighbours whatever their colours, and every node
         # at depth d has coloured the precoloured vertices and order[:d]: pick each once.
         order: list[int] = []
-
-        def search(depth: int, used: int) -> bool:
+        used = [max((c + 1 for _, c in fixed), default=0)] * (remaining + 1)
+        colour, place, unplace = s.colour, s.place, s.unplace
+        depth = 0
+        while depth >= 0:  # left only by a break at an accepted witness, or below depth 0
             if depth == remaining:
-                return on_witness(Colouring(tuple(s.colour), k))
+                if on_witness(Colouring(tuple(colour), k)):
+                    break
+                depth -= 1
+                continue
             if depth == len(order):
                 best, key = -1, (-1, -1, 0)
                 for u in range(g.n):
-                    if s.colour[u] == -1 and (satur[u], len(s.adj[u]), -u) > key:
+                    if colour[u] == -1 and (satur[u], len(s.adj[u]), -u) > key:
                         best, key = u, (satur[u], len(s.adj[u]), -u)
                 order.append(best)
                 for u in s.adj[best]:
                     satur[u] += 1
             v = order[depth]
-            for col in range(min(k, used + 1) if unordered else k):
+            start = colour[v] + 1
+            if start:
+                unplace(v, start - 1)
+            for col in range(start, min(k, used[depth] + 1) if unordered else k):
                 if feasible(v, col):
-                    s.place(v, col)
-                    if search(depth + 1, max(used, col + 1)):
-                        return True
-                    s.unplace(v, col)
-            return False
-
-        found = search(0, max((c + 1 for _, c in fixed), default=0))
+                    place(v, col)
+                    depth += 1
+                    if unordered:
+                        used[depth] = max(used[depth - 1], col + 1)
+                    break
+            else:
+                depth -= 1
     except _BudgetHit:
         return SolveResult(SolveStatus.BUDGET_EXCEEDED, nodes=s.nodes)
-    if found:
+    if depth >= 0:
         witness = Colouring(tuple(s.colour), k)
         if not (is_rs if kind == "rs" else is_star)(g, witness):
             raise RuntimeError(f"{kind} search produced a colouring that is not {kind}")
@@ -223,22 +243,15 @@ def enumerate_k_rs(
     Raises BudgetExceededError if the exhaustive walk runs out of budget.
     """
     found: list[Colouring] = []
-
-    def collect(w: Colouring) -> bool:
-        found.append(w)
-        return False  # keep searching
-
-    result = _run(g, k, "rs", pre, budget, on_witness=collect)
+    # append returns None, a false value, so the walk goes on after every witness
+    result = _run(g, k, "rs", pre, budget, on_witness=found.append)
     if result.status is SolveStatus.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"enumeration exceeded budget after {result.nodes} nodes")
     yield from found
 
 
-def _chromatic(
-    g: Graph,
-    decide: Callable[[int], SolveResult],
-    verifier: Callable[[Graph, Colouring], bool],
-) -> int:
+def _chromatic(g: Graph, decide: Callable[[int], SolveResult],
+               verifier: Callable[[Graph, Colouring], bool]) -> int:
     for k in range(1, g.n + 1):
         result = decide(k)
         if result.status is SolveStatus.BUDGET_EXCEEDED:
@@ -247,13 +260,11 @@ def _chromatic(
             if result.witness is None or not verifier(g, result.witness):
                 raise RuntimeError(f"decision at k={k} returned YES without a valid witness")
             return k
-    return max(g.n, 1) if g.n else 0
+    return g.n
 
 
 def rs_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:
     """Least k such that g is k-rs colourable (k = n always works)."""
-    if g.n == 0:
-        return 0
     return _chromatic(g, lambda k: decide_k_rs(g, k, budget=budget), is_rs)
 
 
@@ -265,8 +276,6 @@ def decide_k_star(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> Sol
 
 
 def star_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:
-    if g.n == 0:
-        return 0
     return _chromatic(g, lambda k: decide_k_star(g, k, budget=budget), is_star)
 
 
@@ -304,8 +313,7 @@ def decide_k_ordered(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> 
     depth: dict[int, int] = {}  # connected subset -> its treedepth
     root: dict[int, int] = {}  # connected subset -> lowest vertex attaining it
     floor: dict[int, int] = {}  # connected subset -> a proven lower bound
-    deadline = time.monotonic() + budget.time_limit
-    nodes = 0
+    count = _NodeCount(budget)
 
     def components(mask: int) -> list[int]:
         out = []
@@ -323,7 +331,6 @@ def decide_k_ordered(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> 
 
     def td(s: int, cap: int) -> int:
         """td(s) for connected, non-empty s if it is below cap, else a lower bound >= cap."""
-        nonlocal nodes
         if not s & (s - 1):
             return 1
         known = depth.get(s)
@@ -332,8 +339,7 @@ def decide_k_ordered(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> 
         low = floor.get(s, 2)  # s is connected and holds an edge
         if low >= cap:
             return low
-        nodes += 1
-        if nodes > budget.max_nodes or (nodes % 4096 == 0 and time.monotonic() > deadline):
+        if count.over_budget():
             raise _BudgetHit
         best, best_v = cap, -1
         for v in _bits(s):
@@ -355,9 +361,9 @@ def decide_k_ordered(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> 
     try:
         parts = components((1 << g.n) - 1)
         if any(td(part, k + 1) > k for part in parts):
-            return SolveResult(SolveStatus.NO, nodes=nodes)
+            return SolveResult(SolveStatus.NO, nodes=count.nodes)
     except _BudgetHit:
-        return SolveResult(SolveStatus.BUDGET_EXCEEDED, nodes=nodes)
+        return SolveResult(SolveStatus.BUDGET_EXCEEDED, nodes=count.nodes)
     colours = [0] * g.n
     while parts:
         s = parts.pop()
@@ -368,7 +374,7 @@ def decide_k_ordered(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> 
     witness = Colouring(tuple(colours), k)
     if not is_ordered(g, witness):
         raise RuntimeError("treedepth ranking is not an ordered colouring")
-    return SolveResult(SolveStatus.YES, witness=witness, nodes=nodes)
+    return SolveResult(SolveStatus.YES, witness=witness, nodes=count.nodes)
 
 
 def ordered_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:
@@ -393,26 +399,20 @@ def max_independent_set(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> list[
     """
     nb = [sum(1 << u for u in g.neighbours(v)) for v in range(g.n)]
     best = 0
-    nodes = 0
-    deadline = time.monotonic() + budget.time_limit
-
-    def grow(chosen: int, cand: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > budget.max_nodes or (nodes % 4096 == 0 and time.monotonic() > deadline):
-            raise _BudgetHit
+    count = _NodeCount(budget)
+    # open nodes as (chosen, candidates); the include branch is pushed last, so searched first
+    stack = [(0, (1 << g.n) - 1)]
+    while stack:
+        chosen, cand = stack.pop()
+        if count.over_budget():
+            raise BudgetExceededError(f"MIS search exceeded budget after {count.nodes} nodes")
         if chosen.bit_count() + cand.bit_count() <= best.bit_count():
-            return
+            continue
         if not cand:
             best = chosen
-            return
+            continue
         v = max(_bits(cand), key=lambda u: (nb[u] & cand).bit_count())
         rest = cand ^ (1 << v)
-        grow(chosen | 1 << v, rest & ~nb[v])
-        grow(chosen, rest)
-
-    try:
-        grow(0, (1 << g.n) - 1)
-    except _BudgetHit:
-        raise BudgetExceededError(f"MIS search exceeded budget after {nodes} nodes") from None
+        stack.append((chosen, rest))
+        stack.append((chosen | 1 << v, rest & ~nb[v]))
     return list(_bits(best))

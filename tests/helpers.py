@@ -120,9 +120,9 @@ def class_pair_is_star(g: Graph, c: Colouring) -> bool:
     _check_domain(g, c)
     if not is_proper(g, c):
         return False
-    classes = c.colour_classes()
-    for i in range(c.k):
-        for j in range(i + 1, c.k):
+    classes = list(c.colour_classes().values())
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
             members = classes[i] + classes[j]
             if len(members) < 4:
                 continue
@@ -231,10 +231,7 @@ class PerNodeSearch(_Search):
         for u in self.adj[v]:
             self.cnt[u][col] += 1
             self.satur[u] += 1
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _BudgetHit
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.over_budget():
             raise _BudgetHit
 
     def unplace(self, v: int, col: int) -> None:

@@ -1,4 +1,3 @@
-import sys
 
 import numpy as np
 import pytest
@@ -204,32 +203,37 @@ class TestSolve:
 
 
 class TestDeepSearch:
-    # the rs, star and MIS searches recurse once per vertex, so a graph deeper
-    # than the interpreter's recursion limit gets an ERROR, never a traceback
-    def test_decide_rs_on_long_path(self, tmp_path, capsys):
+    # the rs, star and MIS searches are loops, so a graph deeper than the
+    # interpreter's recursion limit is limited by the budget alone; the
+    # treedepth DP still recurses once per rank and reports ERROR, never a traceback
+    @pytest.fixture
+    def long_path(self, tmp_path):
         write_graph_file(path_graph(1500), str(tmp_path / "p1500.gr"))
-        code, token, out = run_cli(
-            capsys, "solve", "--task", "decide-rs", "-g", tmp_path / "p1500.gr", "-k", "3"
+        return tmp_path / "p1500.gr"
+
+    def test_decide_rs_on_long_path(self, long_path, tmp_path, capsys):
+        witness = tmp_path / "w.col"
+        code, token, _ = run_cli(
+            capsys, "solve", "--task", "decide-rs", "-g", long_path, "-k", "3",
+            "--witness-out", witness,
         )
-        assert (code, token) == (2, "ERROR")
-        assert out.splitlines()[1] == "graph too large for exact search"
+        assert (code, token) == (0, "YES")
+        assert is_rs(path_graph(1500), parse_colouring(witness.read_text().splitlines(), 1500))
+
+    @pytest.mark.parametrize("task", ["chi-rs", "chi-star"])
+    def test_chromatic_number_of_long_path(self, long_path, capsys, task):
+        assert run_cli(capsys, "solve", "--task", task, "-g", long_path)[:2] == (0, "3")
 
     def test_mis_on_isolated_vertices(self, tmp_path, capsys):
-        # the limit is lowered to 250 frames above this test, so that 350
-        # vertices are enough to reach it
-        write_graph_file(Graph.from_edge_list(350, []), str(tmp_path / "iso.gr"))
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 250)
-        try:
-            code = cli.run(["solve", "--task", "mis", "-g", str(tmp_path / "iso.gr")])
-        finally:
-            sys.setrecursionlimit(limit)
-        out = capsys.readouterr().out
-        assert code == 2
-        assert out.splitlines() == ["RESULT: ERROR", "graph too large for exact search"]
+        write_graph_file(Graph.from_edge_list(1500, []), str(tmp_path / "iso.gr"))
+        code, token, out = run_cli(capsys, "solve", "--task", "mis", "-g", tmp_path / "iso.gr")
+        assert (code, token) == (0, "1500")
+        assert out.splitlines()[1] == "members: " + " ".join(map(str, range(1, 1501)))
+
+    def test_chi_ordered_on_long_path(self, long_path, capsys):
+        code, token, out = run_cli(capsys, "solve", "--task", "chi-ordered", "-g", long_path)
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1] == "graph too large for exact search"
 
 
 class TestTreeAndChordal:

@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from rscol.colouring import (
     parse_colouring,
     parse_partial_colouring,
 )
+from rscol.constructions import CoBipartitePartition, star_to_ordered_cobipartite
 from rscol.graph import Graph, cycle_graph, path_graph, star_graph
 from rscol.solver import SolveStatus, decide_k_rs, enumerate_k_rs
 
@@ -151,6 +153,26 @@ class TestOrdered:
             k = rng.randint(1, n + 1)
             c = Colouring.of([rng.randrange(k) for _ in range(n)], k=k)
             assert is_ordered(g, c) == by_paths(g, c), (list(g.edges()), c.colours)
+
+
+class TestColourValueScale:
+    def test_ordered_and_cobip_walk_only_the_colours_in_use(self):
+        # one list per colour value up to 400,000 took 26 MB and seconds under tracemalloc
+        g = path_graph(2)
+        c = Colouring.of([0, 400_000])
+        tracemalloc.start()
+        try:
+            ok = is_ordered(g, c)
+            ordered = star_to_ordered_cobipartite(g, CoBipartitePartition((0,), (1,)), c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and ordered == Colouring((0, 1), 2)
+        assert peak < 2**20
+
+    def test_colour_classes_in_increasing_colour(self):
+        assert Colouring.of([5, 0, 5, 2]).colour_classes() == {0: [1], 2: [3], 5: [0, 2]}
+        assert list(Colouring.of([5, 0, 5, 2]).colour_classes()) == [0, 2, 5]
 
 
 class TestDistanceTwo:
