@@ -18,11 +18,15 @@ endpoint outside 1..n, a self-loop, an edge listed twice (in either
 orientation), any other malformed line and a wrong edge count are errors that
 name ``source:line``; the first bad line in file order is reported.
 
-Ingest reads the whole text, tokenises the edge lines in one ``str.split``,
-converts all endpoints in one numpy call (by ``int()`` below
-``BULK_MIN_EDGES`` edge lines, where numpy's fixed cost dominates) and builds
-the CSR through ``Graph.from_edge_list``, which checks them.  Every other
-file (one with comment or blank lines among its edge lines, or with a bad
+Ingest reads the whole text.  After the comment and blank lines and the
+problem line, the edge lines are checked by one regex (``EDGE_LINES``: ``e``,
+two ASCII digit runs of at most 18 digits, single spaces); a file with other
+whitespace inside its lines, or blank lines among them, is checked again with
+each line's tokens joined by single spaces.  All endpoints are then read in
+one ``np.fromstring`` call (by ``int()`` below ``BULK_MIN_EDGES`` edge lines,
+where numpy's fixed cost dominates) and the CSR is built by
+``Graph.from_edge_list``, which checks them.  Every other file (one with
+comment lines among its edge lines, an endpoint spelled otherwise, or a bad
 line) goes to the line scanner, which checks each line in file order, raises
 at the first bad one and otherwise builds the graph from its pairs.
 """
@@ -30,6 +34,7 @@ at the first bad one and otherwise builds the graph from its pairs.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -466,8 +471,19 @@ def hypercube_graph(d: int) -> Graph:
 
 
 LINE_BREAK = "\0"
-"""The token each line break becomes while the edge lines are tokenised; a file
-that holds this character is read line by line."""
+"""The token each line break becomes while ``line_tokens`` tokenises lines; a
+text that holds this character is read line by line."""
+
+EDGE_LINES = r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*"
+"""Edge lines as the fast path reads them: ``e`` and two runs of one to 18
+ASCII digits, separated by single spaces, each line closed by ``\\n``.  Every
+such run fits an int64, so numpy reads it exactly as ``int()`` does."""
+
+MATCH_CHUNK = 1 << 16
+"""Characters of edge lines matched by one ``fullmatch`` call.  The regex
+engine keeps a backtracking record per repetition, so one call over a whole
+million-line file would hold about 190 MB; chunks of whole lines keep that
+under a megabyte and are faster too."""
 
 
 def parse_graph(text: str | Iterable[str], source: str = "<graph>") -> Graph:
@@ -478,21 +494,18 @@ def parse_graph(text: str | Iterable[str], source: str = "<graph>") -> Graph:
     """
     if not isinstance(text, str):
         text = "".join(text)
-    edge_tokens = _edge_tokens(text)
-    if edge_tokens is not None:
-        g = _edge_graph(*edge_tokens)
+    head = _problem_line(text)
+    if head is not None:
+        n, m, start = head
+        g = _edge_graph(n, m, text[start:])
         if g is not None:
             return g
     return _scan_graph(text.split("\n"), source)
 
 
-def _edge_tokens(text: str) -> tuple[int, list[list[str]]] | None:
-    """(n, [u strings, v strings]) of a file made of comment and blank lines,
-    a valid problem line, then exactly the declared number of lines
-    ``e <u> <v>``; None for any other file.  ``line_tokens`` tokenises the
-    lines after the problem line; they are m lines ``e <u> <v>`` if and only
-    if they are lines of three tokens, 4m tokens with the line breaks, and
-    every fourth token from the first is ``e``."""
+def _problem_line(text: str) -> tuple[int, int, int] | None:
+    """(n, m, offset of the next line) of a file that opens with comment and
+    blank lines, then a valid problem line; None for any other file."""
     pos = 0
     while True:  # comment and blank lines up to the problem line
         end = text.find("\n", pos)
@@ -510,10 +523,32 @@ def _edge_tokens(text: str) -> tuple[int, list[list[str]]] | None:
         n, m = int(parts[2]), int(parts[3])
     except ValueError:
         return None
-    tokens = line_tokens(text[end + 1:], 3)
-    if n < 0 or tokens is None or len(tokens) != 4 * m or tokens[::4].count("e") != m:
-        return None
-    return n, [tokens[1::4], tokens[2::4]]
+    return (n, m, end + 1) if n >= 0 else None
+
+
+def _edge_lines(body: str) -> str | None:
+    """`body` as EDGE_LINES, with each run of whitespace inside a line read as
+    one space and blank lines dropped; None if it is not made of edge lines."""
+    if body and body[-1] != "\n":
+        body += "\n"  # a last line without a line break
+    if _match_edge_lines(body):
+        return body
+    body = "".join(" ".join(parts) + "\n" for line in body.split("\n") if (parts := line.split()))
+    return body if _match_edge_lines(body) else None
+
+
+def _match_edge_lines(body: str) -> bool:
+    """Whether `body` is EDGE_LINES, matched MATCH_CHUNK characters of whole
+    lines at a time."""
+    match = re.compile(EDGE_LINES).fullmatch  # compiled once, then cached by re
+    pos = 0
+    while pos < len(body):
+        end = body.find("\n", pos + MATCH_CHUNK)
+        end = len(body) if end == -1 else end + 1
+        if not match(body, pos, end):
+            return False
+        pos = end
+    return True
 
 
 def line_tokens(body: str, width: int) -> list[str] | None:
@@ -596,20 +631,24 @@ def _scan_graph(lines: Iterable[str], source: str) -> Graph:
     return Graph.from_edge_list(n, pairs)
 
 
-def _edge_graph(n: int, ends: list[list[str]]) -> Graph | None:
-    """The graph of the edge lines' endpoint strings; None if any endpoint is
-    bad or any edge repeats.
+def _edge_graph(n: int, m: int, body: str) -> Graph | None:
+    """The graph of the edge lines in `body`, the text after the problem line;
+    None unless they are m lines of EDGE_LINES (once normalised) with endpoints
+    in 1..n, no self-loop and no repeated edge.
 
-    Endpoints are read as ``int()`` reads them: below BULK_MIN_EDGES edge lines
-    by ``int()`` itself, from there on in one numpy call, which costs tens of
-    microseconds more per file and much less per edge.
+    Below BULK_MIN_EDGES lines the endpoints are read by ``int()``, from there
+    on in one numpy call, which costs tens of microseconds more per file and
+    much less per edge.
     """
-    m = len(ends[0])
+    body = _edge_lines(body)
+    if body is None or body.count("\n") != m:
+        return None
+    if m < BULK_MIN_EDGES:
+        tokens = body.split()
+        pairs = [(int(u) - 1, int(v) - 1) for u, v in zip(tokens[1::3], tokens[2::3])]
+    else:
+        pairs = (np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ") - 1).reshape(m, 2)
     try:
-        if m < BULK_MIN_EDGES:
-            pairs = [(int(a) - 1, int(b) - 1) for a, b in zip(*ends)]
-        else:
-            pairs = (np.array(ends, dtype=np.int64) - 1).T  # parses as int() does
         g = Graph.from_edge_list(n, pairs)
     except (ValueError, OverflowError):  # GraphError included
         return None

@@ -209,7 +209,8 @@ def compress(h: np.ndarray | CooMatrix, s: SeedGrouping, pattern: SparsityPatter
 
     H is a CooMatrix or a dense array, which is converted to one.  Each stored
     cell (i, j) adds its value to B[i][colour(j)], in row-major order.
-    Entries outside the pattern are rejected.
+    Entries outside the pattern are rejected, and so is a product with a cell
+    that is not finite (a sum that overflows), naming the first such cell.
     """
     m = h if isinstance(h, CooMatrix) else np.asarray(h, dtype=float)
     n = len(s.colouring)
@@ -232,6 +233,12 @@ def compress(h: np.ndarray | CooMatrix, s: SeedGrouping, pattern: SparsityPatter
         raise PatternError(f"nonzero entry ({i},{j}) outside the sparsity pattern")
     colours = np.array(s.colouring.colours, dtype=np.intp)
     b = np.bincount(m.rows * s.k + colours[m.cols], weights=m.values, minlength=n * s.k)
+    # a cell that sums finite values can overflow, and the CSV reader of
+    # ``hess-recover`` refuses a non-finite value in any cell
+    non_finite = np.flatnonzero(~np.isfinite(b))
+    if non_finite.size:
+        i, group = divmod(int(non_finite[0]), s.k)
+        raise PatternError(f"compressed cell ({i},{group}) is not finite")
     return b.reshape(n, s.k)
 
 
@@ -317,10 +324,10 @@ def _entry_arrays(text: str, source: str) -> tuple | None:
     kind's number of fields in its grammar and with both indices in range;
     None for any other file.
 
-    As in graph ingest, ``line_tokens`` tokenises all entry lines in one
-    ``str.split``; each field then becomes an array in one numpy call, which
-    reads a string as ``int()`` or ``float()`` reads it.  A ``%`` or ``_``
-    anywhere in the entry lines sends the file to the line scanner.
+    ``graph.line_tokens`` tokenises all entry lines in one ``str.split``;
+    each field then becomes an array in one numpy call, which reads a string
+    as ``int()`` or ``float()`` reads it.  A ``%`` or ``_`` anywhere in the
+    entry lines sends the file to the line scanner.
     """
     end = text.find("\n")
     if end == -1:

@@ -2,9 +2,17 @@
 
 The tester classifies rooted subtrees (classes I..VII) and branches
 (classes A..F) bottom-up.  Class A branches and class I subtrees certify
-non-colourability; everything else combines via two lookup tables.  Degree-2
-chains are walked iteratively so stack depth stays O(number of 3-plus
-vertices) even on million-vertex paths.
+non-colourability; everything else combines via two lookup tables,
+``_BRANCH_TABLE`` and ``subtree_class_from_state``.  Degree-2 chains are walked
+iteratively so stack depth stays O(number of 3-plus vertices) even on
+million-vertex paths.
+
+The walk itself reads no Enum: each vertex holds one of seven small-int states
+(its forced colour and what counts of its C/E branches matter), and flat tuples
+computed from the two tables at import give the branch class of a finished
+subtree and the state of its parent after that branch joins.  Leaf branches
+are always class F and change no state, so a chain that ends at a leaf is only
+counted.
 """
 
 from __future__ import annotations
@@ -123,6 +131,60 @@ class TreeTestResult:
         return f"{label} {self.reason_vertex}"
 
 
+# -- the tables as small ints, for the walk ---------------------------------------
+#
+# While its branches are read, a vertex is in one of seven states, which keep of
+# its forced colour and its C/E branch counts what decides its subtree class:
+# 0-2: no forced colour and 0, 1, 2+ class E branches; 3: colour 0; 4-6: colour 1
+# and 0, 1, 2+ class C or E branches.  The tables below are computed from
+# _BRANCH_TABLE and subtree_class_from_state, which state the rules.
+
+_BRANCHES = tuple(BranchClass)  # code of a branch class: its index here
+_A = _BRANCHES.index(BranchClass.A)
+# (colour, C count, E count) of one vertex in each state
+_STATE_COUNTS = ((-1, 0, 0), (-1, 0, 1), (-1, 0, 2), (0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 0, 2))
+
+
+def _state(colour: int, c_count: int, e_count: int) -> int:
+    if colour == 0:
+        return 3
+    if colour == 1:
+        return 4 + min(c_count + e_count, 2)
+    return min(e_count, 2)
+
+
+def _absorb(colour: int, c_count: int, e_count: int, bc: BranchClass) -> int:
+    """State of a vertex after a `bc` branch joins it, or -1 for a colour
+    conflict: B forces colour 0, C and D force colour 1; C and E are counted.
+    A class A branch never joins (the walk rejects it first) and reads -1."""
+    if bc is BranchClass.A:
+        return -1
+    if bc is BranchClass.E:
+        e_count += 1
+    elif bc is not BranchClass.F:
+        col = 0 if bc is BranchClass.B else 1
+        if colour not in (-1, col):
+            return -1
+        colour = col
+        if bc is BranchClass.C:
+            c_count += 1
+    return _state(colour, c_count, e_count)
+
+
+_NEXT_STATE = tuple(_absorb(*counts, bc) for counts in _STATE_COUNTS for bc in _BRANCHES)
+"""_NEXT_STATE[6 * state + branch code]: the state after that branch joins."""
+
+_STATE_CLASS = tuple(subtree_class_from_state(*counts) for counts in _STATE_COUNTS)
+_CLASS_I_STATE = _STATE_CLASS.index(SubtreeClass.I)
+
+_BRANCH_OF = tuple(
+    _BRANCHES.index(branch_class_lookup(cls, d)) if d else -1
+    for cls in _STATE_CLASS for d in range(11)
+)
+"""_BRANCH_OF[11 * state + min(d, 10)]: code of the branch made of a finished
+subtree in that state and a path of up-distance d >= 1."""
+
+
 def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
     """Decide 3-rs colourability of a tree.
 
@@ -148,38 +210,17 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
     # exactly once certifies tree-ness; a cycle would push `visited` past n.
     n = g.n
     tgt = g.targets
-    colour = [-1] * n  # colour forced at a vertex by a branch below it: -1 none, else 0/1
-    ccount = [0] * n  # class C branches below each vertex
-    ecount = [0] * n  # class E branches below each vertex
+    state = [0] * n  # every vertex starts in state 0: no forced colour, no branch
+    next_state, branch_of = _NEXT_STATE, _BRANCH_OF
     visited = 1  # the root
 
-    # frame: [vertex, parent of vertex, up-distance, next position in targets]
+    # frame: [vertex, parent of vertex, min(up-distance, 10), next position in targets]
     frames: list[list[int]] = [[root, -1, 0, off[root]]]
-    pending: BranchClass | None = None  # branch class flowing to frames[-1]
-
-    def fail(kind: str, v: int) -> TreeTestResult:
-        return TreeTestResult(False, kind, v, visited)
-
     while frames:
         frame = frames[-1]
-        v = frame[0]
-        if pending is not None:
-            bc = pending
-            pending = None
-            if bc is BranchClass.E:
-                ecount[v] += 1
-            elif bc is not BranchClass.F:  # B forces colour 0 at v, C and D force 1
-                if bc is BranchClass.C:
-                    ccount[v] += 1
-                col = 0 if bc is BranchClass.B else 1
-                if colour[v] == -1:
-                    colour[v] = col
-                elif colour[v] != col:
-                    return fail("colour_conflict", v)
-        idx = frame[3]
+        v, pv, _, idx = frame
         end = off[v + 1]
-        pv = frame[1]
-        while idx < end and tgt[idx] == pv:
+        if idx < end and tgt[idx] == pv:
             idx += 1
         if idx < end:
             w = tgt[idx]
@@ -187,32 +228,34 @@ def test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
             # walk the degree-2 chain below v until a leaf or 3-plus vertex
             p = v
             d = 1
-            visited += 1
             lo = off[w]
             while off[w + 1] - lo == 2:
                 a = tgt[lo]
                 p, w = w, (tgt[lo + 1] if a == p else a)
                 d += 1
-                visited += 1
                 lo = off[w]
+            visited += d
             if visited > n:
                 raise GraphError("input graph is not a tree")
-            if off[w + 1] - lo == 1:  # leaf: class VII subtree, classify its branch now
-                pending = branch_class_lookup(SubtreeClass.VII, d)
-            else:
-                frames.append([w, p, d, lo])
-        else:
-            frame[3] = idx
-            cls = subtree_class_from_state(colour[v], ccount[v], ecount[v])
-            if cls is SubtreeClass.I:
-                return fail("class_i_subtree", v)
-            frames.pop()
-            if not frames:
-                if visited != n:
-                    raise GraphError("input graph is not a tree")
-                return TreeTestResult(True, visited=visited)
-            bc = branch_class_lookup(cls, frame[2])
-            if bc is BranchClass.A:
-                return fail("class_a_branch", v)
-            pending = bc
+            # a leaf is a class VII subtree, whose branches are all class F and
+            # change no state; any other end of the chain is a 3-plus vertex
+            if off[w + 1] - lo != 1:
+                frames.append([w, p, d if d < 10 else 10, lo])
+            continue
+        s = state[v]
+        if s == _CLASS_I_STATE:
+            return TreeTestResult(False, "class_i_subtree", v, visited)
+        frames.pop()
+        if not frames:
+            if visited != n:
+                raise GraphError("input graph is not a tree")
+            return TreeTestResult(True, visited=visited)
+        bc = branch_of[11 * s + frame[2]]
+        if bc == _A:
+            return TreeTestResult(False, "class_a_branch", v, visited)
+        u = frames[-1][0]
+        s = next_state[6 * state[u] + bc]
+        if s < 0:
+            return TreeTestResult(False, "colour_conflict", u, visited)
+        state[u] = s
     raise AssertionError("unreachable")

@@ -30,6 +30,7 @@ from rscol.graph import (
     Edge,
     Graph,
     GraphError,
+    RootedTree,
     connected_components,
     is_chordal,
     is_tree,
@@ -47,7 +48,14 @@ from rscol.solver import (
     _BudgetHit,
     _Search,
 )
-from rscol.tree3rs import test_3rs_tree
+from rscol.tree3rs import (
+    BranchClass,
+    SubtreeClass,
+    TreeTestResult,
+    branch_class_lookup,
+    subtree_class_from_state,
+    test_3rs_tree,
+)
 
 # -- named instances ---------------------------------------------------------
 
@@ -785,6 +793,96 @@ def line_parsed_graph(lines, source: str = "<graph>") -> Graph:
     if len(edges) != declared_m:
         raise GraphError(f"{source}: declared {declared_m} edges, found {len(edges)}")
     return set_built_graph(n, edges)
+
+
+def enum_walk_test_3rs_tree(t: Graph | RootedTree) -> TreeTestResult:
+    """``test_3rs_tree`` as it was before its walk ran on int-coded classes:
+    the same DFS and chain walk, with the vertex's forced colour and C/E counts
+    kept as three ints and each branch classified by ``branch_class_lookup``
+    and ``subtree_class_from_state`` on the Enum values."""
+    g, root = (t.graph, t.root) if isinstance(t, RootedTree) else (t, None)
+    if g.n < 1 or g.m != g.n - 1:
+        raise GraphError("input graph is not a tree")
+    off = g.offsets
+    if root is None:
+        root = next((v for v in range(g.n) if off[v + 1] - off[v] >= 3), None)
+    if root is None or not (0 <= root < g.n and off[root + 1] - off[root] >= 3):
+        if g.max_degree() >= 3:
+            raise GraphError("rooted input must use a 3-plus root")
+        if not is_tree(g):
+            raise GraphError("input graph is not a tree")
+        return TreeTestResult(True, visited=0)  # a path
+
+    n = g.n
+    tgt = g.targets
+    colour = [-1] * n  # colour forced at a vertex by a branch below it: -1 none, else 0/1
+    ccount = [0] * n  # class C branches below each vertex
+    ecount = [0] * n  # class E branches below each vertex
+    visited = 1  # the root
+
+    # frame: [vertex, parent of vertex, up-distance, next position in targets]
+    frames: list[list[int]] = [[root, -1, 0, off[root]]]
+    pending: BranchClass | None = None  # branch class flowing to frames[-1]
+
+    def fail(kind: str, v: int) -> TreeTestResult:
+        return TreeTestResult(False, kind, v, visited)
+
+    while frames:
+        frame = frames[-1]
+        v = frame[0]
+        if pending is not None:
+            bc = pending
+            pending = None
+            if bc is BranchClass.E:
+                ecount[v] += 1
+            elif bc is not BranchClass.F:  # B forces colour 0 at v, C and D force 1
+                if bc is BranchClass.C:
+                    ccount[v] += 1
+                col = 0 if bc is BranchClass.B else 1
+                if colour[v] == -1:
+                    colour[v] = col
+                elif colour[v] != col:
+                    return fail("colour_conflict", v)
+        idx = frame[3]
+        end = off[v + 1]
+        pv = frame[1]
+        while idx < end and tgt[idx] == pv:
+            idx += 1
+        if idx < end:
+            w = tgt[idx]
+            frame[3] = idx + 1
+            # walk the degree-2 chain below v until a leaf or 3-plus vertex
+            p = v
+            d = 1
+            visited += 1
+            lo = off[w]
+            while off[w + 1] - lo == 2:
+                a = tgt[lo]
+                p, w = w, (tgt[lo + 1] if a == p else a)
+                d += 1
+                visited += 1
+                lo = off[w]
+            if visited > n:
+                raise GraphError("input graph is not a tree")
+            if off[w + 1] - lo == 1:  # leaf: class VII subtree, classify its branch now
+                pending = branch_class_lookup(SubtreeClass.VII, d)
+            else:
+                frames.append([w, p, d, lo])
+        else:
+            frame[3] = idx
+            cls = subtree_class_from_state(colour[v], ccount[v], ecount[v])
+            if cls is SubtreeClass.I:
+                return fail("class_i_subtree", v)
+            frames.pop()
+            if not frames:
+                if visited != n:
+                    raise GraphError("input graph is not a tree")
+                return TreeTestResult(True, visited=visited)
+            bc = branch_class_lookup(cls, frame[2])
+            if bc is BranchClass.A:
+                return fail("class_a_branch", v)
+            pending = bc
+    raise AssertionError("unreachable")
 
 
 def greedy_distance_two_colouring(g: Graph, order: str = "natural") -> Colouring:

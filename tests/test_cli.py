@@ -348,6 +348,15 @@ class TestHessianCommands:
         original = read_matrix_market(str(workdir / "h.mtx")).toarray()
         assert np.abs(read_dense_csv(str(rec)) - original).max() <= 1e-12
 
+    def test_compress_refuses_overflowing_cell(self, tmp_path, capsys):
+        (tmp_path / "big.mtx").write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
+                                          "1 1 1\n2 2 1\n3 3 1\n2 1 1e308\n3 1 1e308\n")
+        b_csv = tmp_path / "b.csv"
+        code, token, out = run_cli(capsys, "hess-compress", "-m", tmp_path / "big.mtx", "-o", b_csv)
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1].endswith("compressed cell (0,1) is not finite")
+        assert not b_csv.exists()
+
     def test_recover_to_matrix_market(self, workdir, capsys):
         # a .mtx output is MatrixMarket; every other suffix is dense CSV
         b_csv, groups = workdir / "b.csv", workdir / "groups.col"

@@ -3,7 +3,7 @@
 Files are drawn on both sides of BULK_MIN_EDGES, where endpoint conversion
 switches from int() to numpy, and with over a thousand edge lines, and are read
 both from lines (``parse_graph``) and from a file (``read_graph_file``), so the
-whole-text tokeniser, both conversions, the fallback to the line scanner and
+edge-line regex check and its whitespace normalisation, both conversions, the fallback to the line scanner and
 the text-mode line breaks are each compared with the oracles in helpers.
 """
 
@@ -193,13 +193,84 @@ class TestAgainstLineParser:
 
     def test_large_valid_file_needs_no_line_check(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("line-by-line check ran on a valid large file")
+            raise AssertionError("a line-by-line check ran on a valid large file")
 
         n, edges = distinct_edges(LARGE, random.Random(3))
         text = f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
         expected = helpers.line_parsed_graph(io.StringIO(text))
         monkeypatch.setattr(graph, "_scan_graph", refuse)
+        monkeypatch.setattr(graph, "line_tokens", refuse)
         assert parse_graph(io.StringIO(text)) == expected
+
+
+class TestEdgeLineCheck:
+    """Where the EDGE_LINES check ends: each spelling of one edge line gives the
+    oracle's graph or error, and reaches the line scanner only when the check
+    or the fast path's build refuses it."""
+
+    SPELLINGS = {
+        # name: (edge line from its endpoints, whether the fast path reads it)
+        "plain": (lambda u, v: f"e {u} {v}", True),
+        "18 digits, leading zeros": (lambda u, v: f"e {u:018d} {v:018d}", True),
+        "19 digits, leading zeros": (lambda u, v: f"e {u:019d} {v}", False),
+        "18 digits, outside 1..n": (lambda u, v: f"e {u} {'9' * 18}", False),
+        "19 digits, past int64": (lambda u, v: f"e {'9' * 19} {v}", False),
+        "tabs": (lambda u, v: f"e\t{u}\t{v}", True),
+        "double spaces": (lambda u, v: f"e  {u}  {v}", True),
+        "leading and trailing blanks": (lambda u, v: f" \t e {u} {v} \x0b", True),
+        "plus sign": (lambda u, v: f"e +{u} {v}", False),
+        "self-loop": (lambda u, v: f"e {u} {u}", False),
+    }
+
+    @pytest.mark.parametrize("m", [1, BULK_MIN_EDGES - 1, BULK_MIN_EDGES, LARGE])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_spelling(self, monkeypatch, m, at, end, spelling):
+        spell, fast = self.SPELLINGS[spelling]
+        n, edges = distinct_edges(m, random.Random(m))
+        lines = [f"e {u} {v}" for u, v in edges]
+        i = 0 if at == "first" else -1
+        lines[i] = spell(*edges[i])
+        text = f"p edge {n} {m}\n" + "\n".join(lines) + end
+        scans = []
+
+        def scan(lines, source):
+            scans.append(source)
+            return scan_graph(lines, source)
+
+        scan_graph = graph._scan_graph
+        monkeypatch.setattr(graph, "_scan_graph", scan)
+        assert outcome(parse_graph, text) == outcome(helpers.line_parsed_graph, text)
+        assert scans == ([] if fast else ["f.gr"])
+
+    @pytest.mark.parametrize("chunk", [0, 1, 9, 100])
+    @pytest.mark.parametrize("last", ["e {u} {v}", "e {u}e{v}", "e {u} {v} 3"])
+    def test_match_in_chunks_of_whole_lines(self, monkeypatch, chunk, last):
+        """A file far longer than MATCH_CHUNK is checked chunk by chunk, and a
+        bad line in the last chunk still sends it to the line scanner.  numpy
+        alone would read ``e {u}e{v}`` as the edge u v."""
+        monkeypatch.setattr(graph, "MATCH_CHUNK", chunk)
+        n, edges = distinct_edges(LARGE, random.Random(chunk))
+        lines = [f"e {u} {v}" for u, v in edges]
+        lines[-1] = last.format(u=edges[-1][0], v=edges[-1][1])
+        text = f"p edge {n} {LARGE}\n" + "\n".join(lines) + "\n"
+        assert outcome(parse_graph, text) == outcome(helpers.line_parsed_graph, text)
+
+    @pytest.mark.parametrize("m", [0, 1, BULK_MIN_EDGES - 1, BULK_MIN_EDGES, LARGE])
+    def test_numpy_reads_from_bulk_min_edges(self, monkeypatch, m):
+        calls = []
+
+        def fromstring(*args, **kwargs):
+            calls.append(m)
+            return numpy_fromstring(*args, **kwargs)
+
+        numpy_fromstring = np.fromstring
+        monkeypatch.setattr(np, "fromstring", fromstring)
+        n, edges = distinct_edges(m, random.Random(m))
+        text = f"p edge {n} {m}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+        assert parse_graph(text) == helpers.line_parsed_graph(io.StringIO(text))
+        assert len(calls) == (m >= BULK_MIN_EDGES)
 
 
 class TestWholeFile:

@@ -182,6 +182,17 @@ class TestCompress:
         with pytest.raises(PatternError, match="^grouping and pattern dimensions differ$"):
             compress(np.eye(3), s, p)
 
+    def test_rejects_overflowing_cell(self):
+        # vertices 2 and 3 (1-based) share a group, so B[1, that group] = 1e308 + 1e308
+        h = np.eye(3)
+        h[1, 0] = h[0, 1] = h[2, 0] = h[0, 2] = 1e308
+        p = SparsityPattern.from_pairs(3, [(0, 1), (0, 2)])
+        s = self._grouping(pattern_to_graph(p))
+        group = s.colouring[1]
+        assert s.colouring[2] == group
+        with pytest.raises(PatternError, match=rf"^compressed cell \(0,{group}\) is not finite$"):
+            compress(h, s, p)
+
 
 class TestRecover:
     def test_roundtrip_random(self, rng):

@@ -1,6 +1,10 @@
+import random
 import re
+from itertools import pairwise
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from conftest import requires_full
@@ -144,6 +148,10 @@ class TestBranchLookup:
             assert branch_class_lookup(cls, 10) is BranchClass.F
             assert branch_class_lookup(cls, 37) is BranchClass.F
 
+    def test_leaf_branches_are_class_f(self):
+        # test_3rs_tree lets a chain that ends at a leaf change no state
+        assert all(branch_class_lookup(SubtreeClass.VII, d) is BranchClass.F for d in range(1, 40))
+
     def test_rejects_zero_up_distance(self):
         with pytest.raises(ValueError):
             branch_class_lookup(SubtreeClass.II, 0)
@@ -190,6 +198,22 @@ class TestSubtreeClassification:
         assert subtree_class_from_state(-1, 0, 2) is SubtreeClass.II
 
 
+BAD_INPUTS = [
+    # m != n - 1 is checked before the root
+    (RootedTree(helpers.dart(), helpers.DART_Y), "input graph is not a tree"),
+    (RootedTree(helpers.dart(), helpers.DART_X), "input graph is not a tree"),
+    # m = n - 1 but disconnected: the walk finds it
+    (RootedTree(Graph.from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 2)]), 0),
+     "input graph is not a tree"),
+    (RootedTree(star_graph(3), 1), "rooted input must use a 3-plus root"),
+    (RootedTree(star_graph(3), -4), "rooted input must use a 3-plus root"),
+    (RootedTree(Graph.from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]), 0),
+     "input graph is not a tree"),  # m = n - 1 and no 3-plus vertex, but not a path
+    (Graph.from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),
+     "input graph is not a tree"),
+]
+
+
 class TestTreeTester:
     def test_worked_example_rooted_at_far_junction(self):
         tree = root_at_3plus(helpers.worked_tree(), root=helpers.WORKED_TREE_ROOT)
@@ -212,6 +236,18 @@ class TestTreeTester:
         assert result.colourable
         assert decide_k_rs(star_graph(3), 3).status is SolveStatus.YES
 
+    def test_colour_conflict_at_root(self):
+        # at root 0, vertex 1 (class IV: a class II subtree at up-distance 2
+        # below it) makes a class B branch and vertex 2 (class V: one class VI
+        # star below it) a class C branch
+        g = Graph.from_edge_list(17, [
+            (0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (5, 6), (6, 7), (7, 8), (7, 9), (6, 10),
+            (10, 11), (10, 12), (2, 13), (2, 14), (14, 15), (14, 16)])
+        result = run_tree_test(g)
+        assert (result.reason, result.reason_vertex) == ("colour_conflict", 0)
+        assert result == helpers.enum_walk_test_3rs_tree(g)
+        assert decide_k_rs(g, 3).status is SolveStatus.NO
+
     def test_long_path(self):
         assert run_tree_test(path_graph(1000)).colourable
 
@@ -225,20 +261,7 @@ class TestTreeTester:
         with pytest.raises(GraphError):
             run_tree_test(Graph.from_edge_list(4, [(0, 1), (2, 3)]))
 
-    @pytest.mark.parametrize("t, message", [
-        # m != n - 1 is checked before the root
-        (RootedTree(helpers.dart(), helpers.DART_Y), "input graph is not a tree"),
-        (RootedTree(helpers.dart(), helpers.DART_X), "input graph is not a tree"),
-        # m = n - 1 but disconnected: the walk finds it
-        (RootedTree(Graph.from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 2)]), 0),
-         "input graph is not a tree"),
-        (RootedTree(star_graph(3), 1), "rooted input must use a 3-plus root"),
-        (RootedTree(star_graph(3), -4), "rooted input must use a 3-plus root"),
-        (RootedTree(Graph.from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]), 0),
-         "input graph is not a tree"),  # m = n - 1 and no 3-plus vertex, but not a path
-        (Graph.from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),
-         "input graph is not a tree"),
-    ])
+    @pytest.mark.parametrize("t, message", BAD_INPUTS)
     def test_rejects_bad_input(self, t, message):
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             run_tree_test(t)
@@ -310,3 +333,72 @@ class TestTreeTester:
                 fast = run_tree_test(g).colourable
                 oracle = decide_k_rs(g, 3).status is SolveStatus.YES
                 assert fast == oracle, (spine, legs_a, legs_b)
+
+
+# -- the int-coded walk against the Enum walk it replaced ------------------------------
+
+DIFFERENTIAL = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def bushy_tree(n: int, rnd: random.Random) -> Graph:
+    """A random tree on about n vertices whose inner vertices all have degree 3
+    or 4: vertices taken in random order get two or three children or stay
+    leaves.  Branches of several classes then meet at one vertex more often
+    than in a uniform random tree, which makes colour conflicts less rare."""
+    edges, size, open_ = [], 1, [0]
+    leaf = rnd.random()
+    while open_ and size < n:
+        v = open_.pop(rnd.randrange(len(open_)))
+        if v and rnd.random() < leaf:
+            continue
+        for w in range(size, size + rnd.randint(2 if v else 3, 3)):
+            edges.append((v, w))
+            open_.append(w)
+        size = len(edges) + 1
+    return Graph.from_edge_list(size, edges)
+
+
+@st.composite
+def subdivided_trees(draw) -> Graph:
+    """A uniform random tree or a bushy one, on a few to several hundred
+    vertices, with each edge subdivided a number of times drawn from a short
+    list and randomly relabelled: a few vertices to a few thousand, with chains
+    long enough to reach the saturated table rows."""
+    n0 = draw(st.one_of(st.integers(1, 12), st.integers(13, 600)))
+    subdivisions = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from([helpers.random_tree, bushy_tree]))(n0, rnd)
+    edges, n = [], base.n
+    for u, v in base.edges():
+        k = rnd.choice(subdivisions)
+        edges += pairwise([u, *range(n, n + k), v])
+        n += k
+    label = list(range(n))
+    rnd.shuffle(label)
+    return Graph.from_edge_list(n, [(label[u], label[v]) for u, v in edges])
+
+
+def outcome(test, t):
+    try:
+        return test(t)
+    except GraphError as exc:
+        return str(exc)
+
+
+class TestAgainstEnumWalk:
+    """``test_3rs_tree`` gives the whole result of the walk on Enum classes
+    (``helpers.enum_walk_test_3rs_tree``): verdict, reason, its vertex and the
+    visit count."""
+
+    @DIFFERENTIAL
+    @given(subdivided_trees(), st.integers(0, 10**6))
+    def test_same_result(self, g, pick):
+        assert run_tree_test(g) == helpers.enum_walk_test_3rs_tree(g)
+        plus = [v for v in range(g.n) if g.degree(v) >= 3]
+        root = plus[pick % len(plus)] if plus else pick % g.n
+        rooted = RootedTree(g, root)
+        assert outcome(run_tree_test, rooted) == outcome(helpers.enum_walk_test_3rs_tree, rooted)
+
+    @pytest.mark.parametrize("t, message", BAD_INPUTS)
+    def test_same_error_on_bad_input(self, t, message):
+        assert outcome(run_tree_test, t) == outcome(helpers.enum_walk_test_3rs_tree, t) == message
