@@ -165,7 +165,7 @@ def _cmd_tree3rs(args) -> int:
     result = tree3rs.test_3rs_tree(g)
     if result.colourable:
         return _emit("YES")
-    return _emit("NO", f"reason: {result.reason_text()}")
+    return _emit("NO", f"reason: {result.reason_text(base=1)}")  # graph files are 1-based
 
 
 def _cmd_chordal3rs(args) -> int:

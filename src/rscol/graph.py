@@ -470,10 +470,6 @@ def hypercube_graph(d: int) -> Graph:
 # "c <comment>" / "p edge <n> <m>" / "e <u> <v>" with 1-based endpoints.
 
 
-LINE_BREAK = "\0"
-"""The token each line break becomes while ``line_tokens`` tokenises lines; a
-text that holds this character is read line by line."""
-
 EDGE_LINES = r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*"
 """Edge lines as the fast path reads them: ``e`` and two runs of one to 18
 ASCII digits, separated by single spaces, each line closed by ``\\n``.  Every
@@ -549,34 +545,6 @@ def _match_edge_lines(body: str) -> bool:
             return False
         pos = end
     return True
-
-
-def line_tokens(body: str, width: int) -> list[str] | None:
-    r"""The tokens of `body` with the token LINE_BREAK closing each line, if
-    every line holds exactly `width` tokens; None otherwise, a blank line
-    included.
-
-    One ``str.split`` tokenises all lines, with each line break first
-    replaced by LINE_BREAK.  Splitting the text as it is would not do:
-    ``str.split`` also splits at whitespace that does not end a line of a
-    file read in text mode, among it ``\x0b \x0c \x1c-\x1e \x85 \u2028
-    \u2029`` (which ``str.splitlines`` would take as line ends), so
-    ``e 1 2\x0ce 3 4``, or ``e 1 2 e`` followed by ``3 4``, would pass a check
-    of three tokens per edge with ``e`` at every third, where the line scanner
-    rejects the line.  With the breaks kept as tokens, the m lines each hold
-    `width` tokens if and only if there are (width + 1)m tokens and the only
-    LINE_BREAK tokens are the m that close each group of width + 1.
-    """
-    if LINE_BREAK in body:
-        return None
-    breaks = body.count("\n")  # each becomes one LINE_BREAK token
-    tokens = body.replace("\n", f" {LINE_BREAK} ").split()
-    if tokens and tokens[-1] != LINE_BREAK:
-        tokens.append(LINE_BREAK)  # a last line without a line break
-        breaks += 1
-    if len(tokens) != (width + 1) * breaks or tokens[width::width + 1].count(LINE_BREAK) != breaks:
-        return None
-    return tokens
 
 
 def _scan_graph(lines: Iterable[str], source: str) -> Graph:

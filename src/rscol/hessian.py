@@ -26,17 +26,18 @@ from typing import IO, Iterable
 import numpy as np
 
 from .colouring import Colouring, is_rs
-from .graph import Graph, line_tokens, read_text, write_text
+from .graph import Graph, read_text, write_text
 
 MAX_SIDE = math.isqrt(2**63 - 1)
 """The largest matrix side n for which every cell (i, j) has an int64 key i * n + j."""
 
-ROW_BYTES = 200
+ROW_BYTES = 110
 """A floor on the memory that ``hess-compress`` and ``hess-recover`` hold per
 matrix row, whatever the number of stored cells: the adjacency lists, the
-colour list and sets of the grouping, and the rows of the compressed product.
-Both commands took 200-280 bytes per row on sides of 10**6 and 3 * 10**6
-with one stored cell."""
+colour list and masks of the grouping, and the rows of the compressed
+product.  With one stored cell, the peak RSS grew by 118 bytes per row for
+``hess-compress`` and 217 for ``hess-recover`` between sides of 10**6 and
+3 * 10**6 (141 to 367 MB and 234 to 648 MB)."""
 
 
 def _physical_memory() -> int | None:
@@ -167,37 +168,31 @@ def _vertex_order(g: Graph, order: str) -> list[int]:
 def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
     """Sequential rs colouring heuristic.
 
-    With seen[u] the colours on u's coloured neighbours, vertex v gets the
-    smallest colour c that is (a) on no neighbour of v and (b) in no seen[u]
-    for a neighbour u that is uncoloured or coloured above c.  (a) keeps the
-    colouring proper; (b) on u coloured above c keeps u's lower neighbours in
-    distinct classes.  (b) on an uncoloured u keeps every uncoloured vertex
-    with at most one coloured neighbour per colour, so the choice is total
-    (two 0s across an uncoloured middle vertex would strand it), and v itself,
-    uncoloured until now, already has at most one neighbour per lower class.
-    One scan of v's neighbours collects the blocked colours.
+    seen[u] is a bitmask whose bit c is set when a neighbour of u has colour
+    c.  Vertex v takes the lowest colour whose bit is clear in the union, over
+    its neighbours u, of (a) the bit of colour(u) when u is coloured and (b)
+    the bits of seen[u] below colour(u), or all of seen[u] when u is
+    uncoloured.  (a) keeps the colouring proper; (b) on a coloured u keeps u's
+    lower neighbours in distinct classes.  (b) on an uncoloured u keeps every
+    uncoloured vertex with at most one coloured neighbour per colour, so the
+    choice is total (two 0s across an uncoloured middle vertex would strand
+    it), and v itself, uncoloured until now, already has at most one
+    neighbour per lower class.  Each neighbour blocks at most Δ colours, so a
+    colour is at most Δ² and a mask has at most Δ² + 1 bits.
     """
     off, tgt = g.offsets, g.targets
     colours = [-1] * g.n
-    seen: list[set[int]] = [set() for _ in range(g.n)]
+    seen = [0] * g.n
     for v in _vertex_order(g, order):
         nbrs = tgt[off[v]:off[v + 1]]
-        blocked: set[int] = set()
+        blocked = 0
         for u in nbrs:
             cu = colours[u]
-            if cu < 0:
-                blocked |= seen[u]
-            else:
-                blocked.add(cu)
-                for x in seen[u]:
-                    if x < cu:
-                        blocked.add(x)
-        col = 0
-        while col in blocked:
-            col += 1
+            blocked |= seen[u] if cu < 0 else (seen[u] | 1 << cu) & ((2 << cu) - 1)
+        col = (~blocked & (blocked + 1)).bit_length() - 1
         colours[v] = col
         for u in nbrs:
-            seen[u].add(col)
+            seen[u] |= 1 << col
     result = Colouring.of(colours)
     if not is_rs(g, result):
         raise RuntimeError("greedy grouping produced a colouring that is not rs")
@@ -318,13 +313,46 @@ def _header(line: str, source: str) -> tuple[str, bool]:
     return kind, symmetry == "general"
 
 
+LINE_BREAK = "\0"
+"""The token each line break becomes while ``line_tokens`` tokenises lines; a
+text that holds this character is read line by line."""
+
+
+def line_tokens(body: str, width: int) -> list[str] | None:
+    r"""The tokens of `body` with the token LINE_BREAK closing each line, if
+    every line holds exactly `width` tokens; None otherwise, a blank line
+    included.
+
+    One ``str.split`` tokenises all lines, with each line break first
+    replaced by LINE_BREAK.  Splitting the text as it is would not do:
+    ``str.split`` also splits at whitespace that does not end a line of a
+    file read in text mode, among it ``\x0b \x0c \x1c-\x1e \x85 \u2028
+    \u2029`` (which ``str.splitlines`` would take as line ends), and the
+    lines ``1 2 1.0 3`` and ``4 2.0`` would pass a count of three tokens per
+    entry, where the line scanner rejects both.  With the breaks kept as
+    tokens, the m lines each hold `width` tokens if and only if there are
+    (width + 1)m tokens and the only LINE_BREAK tokens are the m that close
+    each group of width + 1.
+    """
+    if LINE_BREAK in body:
+        return None
+    breaks = body.count("\n")  # each becomes one LINE_BREAK token
+    tokens = body.replace("\n", f" {LINE_BREAK} ").split()
+    if tokens and tokens[-1] != LINE_BREAK:
+        tokens.append(LINE_BREAK)  # a last line without a line break
+        breaks += 1
+    if len(tokens) != (width + 1) * breaks or tokens[width::width + 1].count(LINE_BREAK) != breaks:
+        return None
+    return tokens
+
+
 def _entry_arrays(text: str, source: str) -> tuple | None:
     """The arguments of ``_assemble`` for a file made of a header, comment and
     blank lines, a valid size line, then only entry lines, each with the
     kind's number of fields in its grammar and with both indices in range;
     None for any other file.
 
-    ``graph.line_tokens`` tokenises all entry lines in one ``str.split``;
+    ``line_tokens`` tokenises all entry lines in one ``str.split``;
     each field then becomes an array in one numpy call, which reads a string
     as ``int()`` or ``float()`` reads it.  A ``%`` or ``_`` anywhere in the
     entry lines sends the file to the line scanner.

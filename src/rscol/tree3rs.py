@@ -120,7 +120,8 @@ class TreeTestResult:
     reason_vertex: int | None = None
     visited: int = 0
 
-    def reason_text(self) -> str | None:
+    def reason_text(self, base: int = 0) -> str | None:
+        """The reason in words, with the vertex numbered from `base`."""
         if self.reason is None:
             return None
         label = {
@@ -128,7 +129,7 @@ class TreeTestResult:
             "class_i_subtree": "class I subtree at vertex",
             "colour_conflict": "colour conflict at vertex",
         }[self.reason]
-        return f"{label} {self.reason_vertex}"
+        return f"{label} {self.reason_vertex + base}"
 
 
 # -- the tables as small ints, for the walk ---------------------------------------

@@ -240,7 +240,8 @@ class TestTreeAndChordal:
     def test_tree3rs_no_with_reason(self, workdir, capsys):
         code, token, out = run_cli(capsys, "tree3rs", "-g", workdir / "worked.gr")
         assert (code, token) == (1, "NO")
-        assert "reason: class" in out
+        # vertex 5 of the file, which the library names as 0-based vertex 4
+        assert out.splitlines()[1] == "reason: class A branch at vertex 5"
 
     def test_chordal3rs_dump_tree(self, workdir, capsys):
         dump = workdir / "reduced.gr"

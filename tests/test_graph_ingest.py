@@ -199,7 +199,6 @@ class TestAgainstLineParser:
         text = f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
         expected = helpers.line_parsed_graph(io.StringIO(text))
         monkeypatch.setattr(graph, "_scan_graph", refuse)
-        monkeypatch.setattr(graph, "line_tokens", refuse)
         assert parse_graph(io.StringIO(text)) == expected
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import helpers
 from rscol import hessian
 from rscol.colouring import Colouring, is_rs
-from rscol.graph import Graph, path_graph, star_graph
+from rscol.graph import Graph, complete_graph, path_graph, star_graph
 from rscol.hessian import (
     CooMatrix,
     PatternError,
@@ -117,9 +117,12 @@ class TestGreedy:
         graphs = [helpers.random_graph(rng.randint(0, 30), rng.choice((0.05, 0.15, 0.3, 0.6)), rng)
                   for _ in range(400)]
         graphs += [grid_graph(r, c) for r, c in ((1, 1), (1, 7), (2, 2), (4, 5), (9, 9), (30, 30))]
-        for g in graphs:
+        wide = [complete_graph(70), helpers.random_graph(90, 0.5, rng)]
+        for g in graphs + wide:
             for order in ("natural", "largest_degree_first"):
-                assert greedy_rs_colouring(g, order) == helpers.retry_greedy_rs_colouring(g, order)
+                c = greedy_rs_colouring(g, order)
+                assert c == helpers.retry_greedy_rs_colouring(g, order)
+                assert g not in wide or c.k > 64  # colour masks wider than a machine word
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
