@@ -19,16 +19,18 @@ orientation), any other malformed line and a wrong edge count are errors that
 name ``source:line``; the first bad line in file order is reported.
 
 Ingest reads the whole text.  After the comment and blank lines and the
-problem line, the edge lines are checked by one regex (``EDGE_LINES``: ``e``,
-two ASCII digit runs of at most 18 digits, single spaces); a file with other
-whitespace inside its lines, or blank lines among them, is checked again with
-each line's tokens joined by single spaces.  All endpoints are then read in
-one ``np.fromstring`` call (by ``int()`` below ``BULK_MIN_EDGES`` edge lines,
-where numpy's fixed cost dominates) and the CSR is built by
-``Graph.from_edge_list``, which checks them.  Every other file (one with
-comment lines among its edge lines, an endpoint spelled otherwise, or a bad
-line) goes to the line scanner, which checks each line in file order, raises
-at the first bad one and otherwise builds the graph from its pairs.
+problem line, ``match_lines`` checks the edge lines with one regex
+(``EDGE_LINE``: ``e``, two ASCII digit runs of at most 18 digits, single
+spaces); a file with other whitespace inside its lines, or blank lines among
+them, is checked again with each line's tokens joined by single spaces.  The
+MatrixMarket reader checks its entry lines with the same function, each kind
+with its own regex.  All endpoints are then read in one ``np.fromstring``
+call (by ``int()`` below ``BULK_MIN_EDGES`` edge lines, where numpy's fixed
+cost dominates) and the CSR is built by ``Graph.from_edge_list``, which
+checks them.  Every other file (one with comment lines among its edge lines,
+an endpoint spelled otherwise, or a bad line) goes to the line scanner, which
+checks each line in file order, raises at the first bad one and otherwise
+builds the graph from its pairs.
 """
 
 from __future__ import annotations
@@ -470,16 +472,16 @@ def hypercube_graph(d: int) -> Graph:
 # "c <comment>" / "p edge <n> <m>" / "e <u> <v>" with 1-based endpoints.
 
 
-EDGE_LINES = r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*"
-"""Edge lines as the fast path reads them: ``e`` and two runs of one to 18
-ASCII digits, separated by single spaces, each line closed by ``\\n``.  Every
-such run fits an int64, so numpy reads it exactly as ``int()`` does."""
+EDGE_LINE = r"e [0-9]{1,18} [0-9]{1,18}"
+"""An edge line as the fast path reads it: ``e`` and two runs of one to 18
+ASCII digits, separated by single spaces.  Every such run fits an int64, so
+numpy reads it exactly as ``int()`` does."""
 
 MATCH_CHUNK = 1 << 16
-"""Characters of edge lines matched by one ``fullmatch`` call.  The regex
-engine keeps a backtracking record per repetition, so one call over a whole
-million-line file would hold about 190 MB; chunks of whole lines keep that
-under a megabyte and are faster too."""
+"""Characters of lines matched by one ``fullmatch`` call in ``match_lines``.
+The regex engine keeps a backtracking record per repetition, so one call over
+a whole million-line file would hold about 190 MB; chunks of whole lines keep
+that under a megabyte and are faster too."""
 
 
 def parse_graph(text: str | Iterable[str], source: str = "<graph>") -> Graph:
@@ -522,21 +524,23 @@ def _problem_line(text: str) -> tuple[int, int, int] | None:
     return (n, m, end + 1) if n >= 0 else None
 
 
-def _edge_lines(body: str) -> str | None:
-    """`body` as EDGE_LINES, with each run of whitespace inside a line read as
-    one space and blank lines dropped; None if it is not made of edge lines."""
+def match_lines(body: str, line: str) -> str | None:
+    """`body` as lines that each match the regex `line` and end with ``\\n``,
+    with each run of whitespace inside a line read as one space and blank
+    lines dropped; None if a line does not match.  The graph and the
+    MatrixMarket reader check the lines they read in bulk with it."""
     if body and body[-1] != "\n":
         body += "\n"  # a last line without a line break
-    if _match_edge_lines(body):
+    match = re.compile(f"(?:{line}\n)*").fullmatch  # compiled once, then cached by re
+    if _match_chunks(match, body):
         return body
-    body = "".join(" ".join(parts) + "\n" for line in body.split("\n") if (parts := line.split()))
-    return body if _match_edge_lines(body) else None
+    body = "".join(" ".join(parts) + "\n" for raw in body.split("\n") if (parts := raw.split()))
+    return body if _match_chunks(match, body) else None
 
 
-def _match_edge_lines(body: str) -> bool:
-    """Whether `body` is EDGE_LINES, matched MATCH_CHUNK characters of whole
-    lines at a time."""
-    match = re.compile(EDGE_LINES).fullmatch  # compiled once, then cached by re
+def _match_chunks(match, body: str) -> bool:
+    """Whether `match` takes `body` whole, called on MATCH_CHUNK characters of
+    whole lines at a time."""
     pos = 0
     while pos < len(body):
         end = body.find("\n", pos + MATCH_CHUNK)
@@ -601,14 +605,14 @@ def _scan_graph(lines: Iterable[str], source: str) -> Graph:
 
 def _edge_graph(n: int, m: int, body: str) -> Graph | None:
     """The graph of the edge lines in `body`, the text after the problem line;
-    None unless they are m lines of EDGE_LINES (once normalised) with endpoints
+    None unless they are m lines of EDGE_LINE (once normalised) with endpoints
     in 1..n, no self-loop and no repeated edge.
 
     Below BULK_MIN_EDGES lines the endpoints are read by ``int()``, from there
     on in one numpy call, which costs tens of microseconds more per file and
     much less per edge.
     """
-    body = _edge_lines(body)
+    body = match_lines(body, EDGE_LINE)
     if body is None or body.count("\n") != m:
         return None
     if m < BULK_MIN_EDGES:

@@ -26,7 +26,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .colouring import Colouring, is_rs
-from .graph import Graph, read_text, write_text
+from .graph import Graph, match_lines, read_text, write_text
 
 MAX_SIDE = math.isqrt(2**63 - 1)
 """The largest matrix side n for which every cell (i, j) has an int64 key i * n + j."""
@@ -288,9 +288,10 @@ def parse_matrix_market(text: str | Iterable[str], source: str = "<mtx>") -> Coo
     rows at ROW_BYTES each would not fit in this machine's memory raises
     MemoryError, before any array of n entries is made.
 
-    A whole file whose entry lines are all well formed is read by
-    ``_entry_arrays`` in a few numpy calls; every other input goes to the line
-    scanner, which checks each line in file order and names the first bad one.
+    A whole file whose entry lines all match the kind's ``ENTRY_LINE`` is read
+    by ``_entry_arrays``: the graph reader's line check, then one
+    ``np.fromstring``.  Every other input goes to the line scanner, which
+    checks each line in file order and names the first bad one.
     """
     if isinstance(text, str):
         entries = _entry_arrays(text, source) if text else None
@@ -313,49 +314,31 @@ def _header(line: str, source: str) -> tuple[str, bool]:
     return kind, symmetry == "general"
 
 
-LINE_BREAK = "\0"
-"""The token each line break becomes while ``line_tokens`` tokenises lines; a
-text that holds this character is read line by line."""
+_INDEX = "[0-9]{1,15}"  # below 2**53, so float64 holds each index exactly
 
-
-def line_tokens(body: str, width: int) -> list[str] | None:
-    r"""The tokens of `body` with the token LINE_BREAK closing each line, if
-    every line holds exactly `width` tokens; None otherwise, a blank line
-    included.
-
-    One ``str.split`` tokenises all lines, with each line break first
-    replaced by LINE_BREAK.  Splitting the text as it is would not do:
-    ``str.split`` also splits at whitespace that does not end a line of a
-    file read in text mode, among it ``\x0b \x0c \x1c-\x1e \x85 \u2028
-    \u2029`` (which ``str.splitlines`` would take as line ends), and the
-    lines ``1 2 1.0 3`` and ``4 2.0`` would pass a count of three tokens per
-    entry, where the line scanner rejects both.  With the breaks kept as
-    tokens, the m lines each hold `width` tokens if and only if there are
-    (width + 1)m tokens and the only LINE_BREAK tokens are the m that close
-    each group of width + 1.
-    """
-    if LINE_BREAK in body:
-        return None
-    breaks = body.count("\n")  # each becomes one LINE_BREAK token
-    tokens = body.replace("\n", f" {LINE_BREAK} ").split()
-    if tokens and tokens[-1] != LINE_BREAK:
-        tokens.append(LINE_BREAK)  # a last line without a line break
-        breaks += 1
-    if len(tokens) != (width + 1) * breaks or tokens[width::width + 1].count(LINE_BREAK) != breaks:
-        return None
-    return tokens
+ENTRY_LINE = {
+    "pattern": f"{_INDEX} {_INDEX}",
+    "integer": f"{_INDEX} {_INDEX} [+-]?[0-9]{{1,640}}",
+    "real": f"{_INDEX} {_INDEX} "
+            r"[+-]?(?:(?:[0-9]+\.[0-9]*|[0-9]+|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf(?:inity)?))",
+}
+"""The regex of an entry line of each kind as the whole-file path reads it:
+two indices of at most 15 ASCII digits, then an ``integer`` value of at most
+640 digits (the least limit ``sys.set_int_max_str_digits`` takes, so
+``int()`` reads every such run) or a ``real`` decimal literal, ``nan`` or
+``inf``, separated by single spaces.  ``np.fromstring`` reads each such field
+as ``float()`` does, bit for bit."""
 
 
 def _entry_arrays(text: str, source: str) -> tuple | None:
     """The arguments of ``_assemble`` for a file made of a header, comment and
-    blank lines, a valid size line, then only entry lines, each with the
-    kind's number of fields in its grammar and with both indices in range;
-    None for any other file.
+    blank lines, a valid size line, then only entry lines, each matching the
+    kind's ``ENTRY_LINE`` and with both indices in range; None for any other
+    file.
 
-    ``line_tokens`` tokenises all entry lines in one ``str.split``;
-    each field then becomes an array in one numpy call, which reads a string
-    as ``int()`` or ``float()`` reads it.  A ``%`` or ``_`` anywhere in the
-    entry lines sends the file to the line scanner.
+    ``graph.match_lines`` checks all entry lines with that regex, and one
+    ``np.fromstring`` reads all their fields.  A blank line among the entries
+    sends the file to the line scanner, which numbers the entries by line.
     """
     end = text.find("\n")
     if end == -1:
@@ -375,22 +358,21 @@ def _entry_arrays(text: str, source: str) -> tuple | None:
         n, n_cols, expected = map(int, parts)
     except ValueError:  # also a size line without three fields
         return None
+    if n != n_cols or not 0 <= n <= MAX_SIDE:
+        return None
     body = text[end + 1:]
-    w = 2 if kind == "pattern" else 3
-    tokens = None if "%" in body or "_" in body else line_tokens(body, w)
-    if n != n_cols or not 0 <= n <= MAX_SIDE or tokens is None:
+    if body and body[-1] != "\n":
+        body += "\n"  # a last line without a line break
+    m = body.count("\n")
+    lines = match_lines(body, ENTRY_LINE[kind])
+    if lines is None or lines.count("\n") != m:  # blank lines dropped would renumber the entries
         return None
-    m = len(tokens) // (w + 1)
-    try:
-        rows = np.array(tokens[0::w + 1], dtype=np.int64) - 1
-        cols = np.array(tokens[1::w + 1], dtype=np.int64) - 1
-        if kind == "integer":
-            np.array(tokens[2::w + 1], dtype=np.int64)  # the integer grammar
-        values = np.ones(m) if kind == "pattern" else np.array(tokens[2::w + 1], dtype=float)
-    except (ValueError, OverflowError):
-        return None
+    fields = np.fromstring(lines, sep=" ").reshape(m, 2 if kind == "pattern" else 3)
+    rows = fields[:, 0].astype(np.int64) - 1
+    cols = fields[:, 1].astype(np.int64) - 1
     if ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)).any():
         return None
+    values = np.ones(m) if kind == "pattern" else fields[:, 2]
     return n, general, expected, rows, cols, values, np.arange(lineno + 1, lineno + 1 + m)
 
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from rscol import hessian
+from rscol import graph, hessian
 from rscol.colouring import Colouring, is_rs
 from rscol.graph import Graph, complete_graph, path_graph, star_graph
 from rscol.hessian import (
@@ -653,13 +653,10 @@ def matrix_market_texts(draw):
     sep = rnd.choice(["\n", "\n", "\r\n"])
     text = sep.join([header, *preamble, f"{n} {n} {len(entries) + delta}", *lines])
     text += rnd.choice(["", sep])
-    def fits(line: str) -> bool:  # an integer past int64, or nan, goes to the line scanner
-        try:
-            return -2**63 <= int(line.split()[2]) < 2**63
-        except ValueError:
-            return False
+    def numerals(line: str) -> bool:  # others, as ٣.٥ or an integer nan, go to the line scanner
+        return line.isascii() and (kind != "integer" or re.fullmatch(r"[+-]?[0-9]+", line.split()[2]))
 
-    clean = not set(mutations) & set(LINE_MUTATIONS) and (kind != "integer" or all(map(fits, entries)))
+    clean = not set(mutations) & set(LINE_MUTATIONS) and all(map(numerals, entries))
     return text, entries, clean
 
 
@@ -720,6 +717,17 @@ class TestMatrixMarketOracle:
         with pytest.raises(PatternError, match=r"^m\.mtx:6: non-finite value$"):
             parse_matrix_market(text, "m.mtx")
 
+    @pytest.mark.parametrize("symmetry, entries, message", [
+        ("general", "2 1 1.0\n1 1 nan\n", "non-finite value"),
+        ("symmetric", "2 1 1.0\n1 2 3.0\n", r"duplicate entry \(1,2\)"),
+    ])
+    @pytest.mark.parametrize("lines", [False, True], ids=["whole", "by-line"])
+    def test_blank_line_keeps_line_numbers(self, symmetry, entries, message, lines):
+        # the line check drops blank lines, so entries after one must not move up a line
+        text = f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 2\n\n{entries}"
+        with pytest.raises(PatternError, match=rf"^m\.mtx:5: {message}$"):
+            parse_matrix_market(text.split("\n") if lines else text, "m.mtx")
+
     def test_side_past_int64_keys(self):
         text = f"%%MatrixMarket matrix coordinate real symmetric\n{hessian.MAX_SIDE + 1} " \
                f"{hessian.MAX_SIDE + 1} 1\n1 1 1.0\n"
@@ -739,6 +747,89 @@ class TestMatrixMarketOracle:
             else:
                 m = parse_matrix_market(text, "m.mtx")
                 assert (m.n, m.rows.tolist(), m.cols.tolist(), m.values.tolist()) == (n, [n - 1], [n - 1], [2.0])
+
+
+def read_cells(call):
+    """The cells of the CooMatrix a reader gives, values as their bits, or the
+    type and message of what it raised."""
+    m = outcome(call)
+    return m if isinstance(m, tuple) else (m.n, m.rows.tolist(), m.cols.tolist(), bits(m.values).tolist())
+
+
+class TestEntryLineCheck:
+    """Where the ENTRY_LINE check ends: each hard literal gives the line
+    scanner's matrix bit for bit, or its error, and reaches the line scanner
+    only when the check or the index range refuses it."""
+
+    CASES = [  # (kind, entry line, whether the whole-file path reads it)
+        ("real", "2 1 5e-324", True),
+        ("real", "2 1 2.4703282292062327e-324", True),  # rounds to 0.0
+        ("real", "2 1 1.7976931348623158e+308", True),
+        ("real", "2 1 1.7976931348623159e+308", True),  # rounds to inf: non-finite at its line
+        ("real", "2 1 0.12345678901234567890123456789", True),
+        ("real", "2 1 123456789012345678901234567890e-5", True),
+        ("real", "2 1 1.e5", True),
+        ("real", "2 1 +.5", True),
+        ("real", "2 1 -0.0", True),
+        ("real", "2 1 nan", True),
+        ("real", "2 1 -inf", True),
+        ("real", "2 1 Infinity", True),
+        ("real", "2 1 -nAn", True),
+        ("real", "2 1 ٣.٥", False),
+        ("real", "2 1 1_0.5", False),
+        ("real", "2 1 0x1p3", False),
+        ("real", "2 1 .", False),
+        ("integer", "2 1 +12", True),
+        ("integer", "2 1 007", True),
+        ("integer", f"2 1 {2**53 + 1}", True),
+        ("integer", f"2 1 {2**63}", True),
+        ("integer", f"2 1 -{2**64 + 1}", True),
+        ("integer", "2 1 " + "9" * 640, True),  # inf: non-finite at its line
+        ("integer", "2 1 " + "9" * 641, False),
+        ("integer", "2 1 " + "1" * 4301, False),  # past int()'s digit limit: non-numeric
+        ("integer", "2 1 ١٢", False),
+        ("integer", "2 1 1.0", False),
+        ("integer", "2 1 inf", False),
+        ("pattern", "2 1", True),
+        ("pattern", f"{2:015d} {1:015d}", True),
+        ("pattern", f"{2:016d} 1", False),
+        ("pattern", f"2 {'9' * 15}", False),  # out of range
+        ("pattern", f"{'9' * 16} 1", False),
+        ("pattern", "+2 1", False),
+    ]
+
+    @staticmethod
+    def read_whole(monkeypatch, text: str):
+        """The cells or error of `text` read whole, and the sources the line
+        scanner ran on."""
+        scans = []
+
+        def scan(lines, source):
+            scans.append(source)
+            return scan_matrix(lines, source)
+
+        scan_matrix = hessian._scan_matrix
+        monkeypatch.setattr(hessian, "_scan_matrix", scan)
+        return read_cells(lambda: parse_matrix_market(text, "m.mtx")), scans
+
+    @pytest.mark.parametrize("kind, line, whole", CASES, ids=lambda case: str(case)[:40])
+    def test_literal(self, monkeypatch, kind, line, whole):
+        text = f"%%MatrixMarket matrix coordinate {kind} symmetric\n2 2 2\n1 1 {'' if kind == 'pattern' else 3}\n{line}\n"
+        want = read_cells(lambda: hessian._scan_matrix(text.split("\n"), "m.mtx"))
+        assert self.read_whole(monkeypatch, text) == (want, [] if whole else ["m.mtx"])
+
+    @pytest.mark.parametrize("chunk", [0, 1, 9, 100])
+    @pytest.mark.parametrize("last", ["{n} {n} 1.0 2", "{n} {n} 1,0", "{n} {n}.0 1.0"])
+    def test_match_in_chunks_of_whole_lines(self, monkeypatch, chunk, last):
+        """A file far longer than MATCH_CHUNK is checked chunk by chunk, and a
+        bad last line still sends it to the line scanner.  numpy alone would
+        read ``{n} {n}.0 1.0`` as the cell (n, n)."""
+        monkeypatch.setattr(graph, "MATCH_CHUNK", chunk)
+        n = 300
+        lines = [f"{i} {i} {i / 7!r}" for i in range(1, n)] + [last.format(n=n)]
+        text = f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {n}\n" + "\n".join(lines) + "\n"
+        want = read_cells(lambda: hessian._scan_matrix(text.split("\n"), "m.mtx"))
+        assert self.read_whole(monkeypatch, text) == (want, ["m.mtx"])
 
 
 # -- the MatrixMarket writer ------------------------------------------------------------
