@@ -11,13 +11,21 @@ triangle's type: it only raises the degrees of the two kept corners (each
 loses one neighbour and gains two pendants), and a degree-2 vertex lies in
 exactly one triangle.  So the triangles are listed once, and either the graph
 has a type-I triangle or every triangle loses its smallest degree-2 corner in
-a single pass.  The cost is one triangle listing plus an O(n + m) rebuild,
-after the O(n + m) chordality test.
+a single pass, after which the reduced tree is built by a few numpy calls.
+
+The tester splits the components first.  A graph with m = n - c edges for c
+components is a forest, hence chordal, and skips the chordality test; each
+tree component goes to the tree tester as it is.  A connected graph is its own
+only component, not a rebuilt copy.  NO reasons name vertices of the input,
+numbered from 1 as in graph files: a pendant of the reduced tree is named by
+the corner it hangs from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .graph import Graph, component_subgraphs, is_chordal, list_triangles
 from .tree3rs import TreeTestResult, test_3rs_tree
@@ -35,6 +43,9 @@ class EliminationTrace:
     type1_triangle: tuple[int, int, int] | None = None
     eliminations: int = 0
     triangle_counts: list[int] = field(default_factory=list)  # triangles listed per scan
+    # origin[v]: the input vertex that vertex v of final_tree stands for, its
+    # corner for a pendant; None while final_tree is the input itself
+    origin: np.ndarray | None = None
 
 
 def eliminate_triangles(g: Graph) -> EliminationTrace:
@@ -49,28 +60,30 @@ def eliminate_triangles(g: Graph) -> EliminationTrace:
     """
     triangles = list_triangles(g)
     trace = EliminationTrace(None, triangle_counts=[len(triangles)])
-    dropped = []
-    for t in triangles:
-        w = next((x for x in t if g.degree(x) == 2), None)
-        if w is None:
-            trace.type1_triangle = t
-            return trace
-        dropped.append(w)
     if not triangles:
         trace.final_tree = g
         return trace
-    gone = set(dropped)
-    new_id = [-1] * g.n
-    survivors = [v for v in range(g.n) if v not in gone]
-    for i, v in enumerate(survivors):
-        new_id[v] = i
-    edges = [(new_id[u], new_id[v]) for u, v in g.edges() if u not in gone and v not in gone]
-    fresh = len(survivors)
-    for t, w in zip(triangles, dropped):
-        u, v = (new_id[x] for x in t if x != w)
-        edges += [(u, fresh), (u, fresh + 1), (v, fresh + 2), (v, fresh + 3)]
-        fresh += 4
-    trace.final_tree = Graph.from_edge_list(fresh, edges)
+    corners = np.array(triangles, dtype=np.int64)
+    low = np.diff(np.frombuffer(g.offsets, dtype=np.int64))[corners] == 2
+    type2 = low.any(axis=1)
+    if not type2.all():
+        trace.type1_triangle = triangles[int(type2.argmin())]
+        return trace
+    drop = np.zeros_like(low)
+    drop[np.arange(len(triangles)), low.argmax(axis=1)] = True  # smallest degree-2 corner
+    kept = corners[~drop]  # the two other corners of each triangle, in order
+    keep = np.ones(g.n, dtype=bool)
+    keep[corners[drop]] = False
+    new_id = np.cumsum(keep) - 1
+    u, v = g.edge_arrays()
+    inner = keep[u] & keep[v]
+    survivors = g.n - len(triangles)
+    owners = np.repeat(new_id[kept], 2)  # two pendants at each kept corner
+    pendants = np.arange(survivors, survivors + owners.size, dtype=np.int64)
+    edges = np.stack((np.concatenate((new_id[u[inner]], owners)),
+                      np.concatenate((new_id[v[inner]], pendants))), axis=1)
+    trace.final_tree = Graph.from_edge_list(survivors + owners.size, edges)
+    trace.origin = np.concatenate((np.flatnonzero(keep), np.repeat(kept, 2)))
     trace.eliminations = len(triangles)
     return trace
 
@@ -87,10 +100,12 @@ def test_3rs_chordal(g: Graph) -> ChordalTestResult:
     """Decide 3-rs colourability of a chordal graph; decision is the AND over
     connected components.  Non-chordal input raises NotChordalError.
     ``final_trees`` holds each reduced tree the tree tester ran on."""
-    if not is_chordal(g):
+    components = component_subgraphs(g)
+    if g.m != g.n - len(components) and not is_chordal(g):  # a forest is chordal
         raise NotChordalError("input graph is not chordal")
     result = ChordalTestResult(True)
-    for sub, comp in component_subgraphs(g):
+    for sub, comp in components:
+        origin = None
         if sub.m == sub.n - 1:  # a connected component: the edge count settles it
             tree = sub
         else:
@@ -98,21 +113,22 @@ def test_3rs_chordal(g: Graph) -> ChordalTestResult:
             if trace.type1_triangle is not None:
                 result.colourable = False
                 if result.reason is None:
-                    result.reason = (
-                        f"type-I triangle {trace.type1_triangle} in component at {comp[0]}"
-                    )
+                    corners = tuple(comp[x] + 1 for x in trace.type1_triangle)
+                    result.reason = f"type-I triangle {corners} in component at {comp[0] + 1}"
                 result.component_results.append(None)
                 continue
-            tree = trace.final_tree
+            tree, origin = trace.final_tree, trace.origin
             # elimination keeps a component connected; only a cycle of length
             # four or more (a non-chordal input) survives it
             if tree.m != tree.n - 1:
-                raise RuntimeError(f"component at {comp[0]} did not reduce to a tree")
+                raise RuntimeError(f"component at {comp[0] + 1} did not reduce to a tree")
         result.final_trees.append(tree)
         tree_result = test_3rs_tree(tree)
         result.component_results.append(tree_result)
         if not tree_result.colourable:
             result.colourable = False
             if result.reason is None:
-                result.reason = f"component at {comp[0]}: {tree_result.reason_text()}"
+                v = tree_result.reason_vertex
+                named = replace(tree_result, reason_vertex=comp[v if origin is None else origin[v]])
+                result.reason = f"component at {comp[0] + 1}: {named.reason_text(base=1)}"
     return result

@@ -102,7 +102,7 @@ def find_rs_violation(g: Graph, c: Colouring) -> tuple[int, ...] | None:
     edge (u, v) when the colouring is merely improper, else None."""
     _check_domain(g, c)
     colours = c.colours
-    off, tgt = g.offsets, g.targets
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
     # scan middles: y with two equal-coloured lower neighbours
     for y in range(g.n):
         cy = colours[y]
@@ -132,7 +132,7 @@ def is_star(g: Graph, c: Colouring) -> bool:
     """
     _check_domain(g, c)
     colours = c.colours
-    off, tgt = g.offsets, g.targets
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
     repeated: list[set[int]] = []  # colours on two or more neighbours of each vertex
     for v in range(g.n):
         seen: set[int] = set()

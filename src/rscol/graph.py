@@ -1,12 +1,16 @@
 """Undirected simple graphs and the structural queries the colouring algorithms need.
 
 Vertices are dense 0-based integers.  A graph is held as a CSR: ``offsets``
-(n + 1 ints) and one flat ``targets`` list (2m ints), where the neighbours of
+(n + 1 ints) and one flat ``targets`` array (2m ints), where the neighbours of
 v are ``targets[offsets[v]:offsets[v + 1]]`` in ascending order.  Both are
-plain lists of Python ints, so hot loops index them directly and no
-per-vertex list objects exist; ``neighbours(v)`` returns a fresh slice for
-everything else.  Graphs are immutable after construction; every operation
-that "modifies" a graph returns a new one.
+packed ``array("q")`` int64 arrays, so no per-vertex list objects exist and
+whole-graph passes read them with ``np.frombuffer`` without a copy
+(``_csr_arrays``).  Reading an element boxes a new int: the tree walk indexes
+the arrays directly, whose locality pays for that at scale, while Python loops
+over every row first copy them by ``tolist()``, one C pass after which each
+read returns a stored int.  ``neighbours(v)`` returns a fresh list.  Graphs
+are immutable after construction; every operation that "modifies" a graph
+returns a new one.
 
 Graph files (``read_graph_file``, ``parse_graph``) have one record per line:
 ``p edge <n> <m>`` once, then ``e <u> <v>`` per edge with 1-based endpoints.
@@ -37,7 +41,8 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
@@ -63,12 +68,13 @@ class Graph:
     """Simple undirected graph in CSR form.
 
     Invariants: no self-loops, no parallel edges, adjacency symmetric, each
-    run ``targets[offsets[v]:offsets[v + 1]]`` sorted ascending.
+    run ``targets[offsets[v]:offsets[v + 1]]`` sorted ascending.  ``offsets``
+    and ``targets`` are ``array("q")``.
     """
 
     __slots__ = ("n", "offsets", "targets")
 
-    def __init__(self, n: int, offsets: list[int], targets: list[int]):
+    def __init__(self, n: int, offsets: array, targets: array):
         # internal constructor, assumes the CSR already validated/sorted
         self.n = n
         self.offsets = offsets
@@ -102,7 +108,8 @@ class Graph:
         degrees = [0] * n
         for key in keys:
             degrees[key // n] += 1
-        return Graph(n, list(accumulate(degrees, initial=0)), [key % n for key in keys])
+        offsets = array("q", accumulate(degrees, initial=0))
+        return Graph(n, offsets, array("q", [key % n for key in keys]))
 
     # -- basic queries -----------------------------------------------------
 
@@ -115,7 +122,7 @@ class Graph:
 
     def neighbours(self, v: VertexId) -> list[VertexId]:
         """The sorted neighbours of v, as a new list."""
-        return self.targets[self.offsets[v]:self.offsets[v + 1]]
+        return self.targets[self.offsets[v]:self.offsets[v + 1]].tolist()
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         hi = self.offsets[u + 1]
@@ -123,17 +130,26 @@ class Graph:
         return i < hi and self.targets[i] == v
 
     def edges(self) -> Iterator[Edge]:
-        """All edges (u, v) with u < v, lexicographically."""
-        off, tgt = self.offsets, self.targets
+        """All edges (u, v) with u < v, lexicographically, one row at a time:
+        a caller that stops early reads no more, and a small graph pays no
+        numpy call.  ``edge_arrays`` gives them all at once."""
+        off, tgt = self.offsets.tolist(), self.targets.tolist()
         for u in range(self.n):
             for v in tgt[off[u]:off[u + 1]]:
                 if u < v:
                     yield (u, v)
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoints u < v of all edges, in lexicographic order, as two
+        int64 arrays: the CSR entries that point to a higher vertex."""
+        _, src, tgt = _csr_arrays(self)
+        upper = src < tgt
+        return src[upper], tgt[upper]
+
     def adjacency(self) -> list[list[int]]:
         """Mutable copy of the adjacency lists."""
-        tgt = self.targets
-        return [tgt[lo:hi] for lo, hi in pairwise(self.offsets)]
+        tgt = self.targets.tolist()
+        return [tgt[lo:hi] for lo, hi in pairwise(self.offsets.tolist())]
 
     def max_degree(self) -> int:
         return max((hi - lo for lo, hi in pairwise(self.offsets)), default=0)
@@ -147,7 +163,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self.offsets), tuple(self.targets)))
+        return hash((self.n, self.offsets.tobytes(), self.targets.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -171,8 +187,30 @@ def _array_csr(n: int, edges: np.ndarray) -> Graph:
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
-    offsets = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
-    return Graph(n, offsets, (keys % n).tolist())
+    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return Graph(n, _packed(offsets), _packed(keys % n))
+
+
+def _packed(values: np.ndarray) -> array:
+    """An ``array("q")`` holding `values`, copied once from numpy's buffer."""
+    out = array("q")
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
+    return out
+
+
+def _csr_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR of `g` as int64 arrays: ``offsets``, the row (source vertex) of
+    each entry, and ``targets``.  The first and last are views, not copies;
+    ``src * n + tgt`` are the sorted keys of the entries."""
+    off = np.frombuffer(g.offsets, dtype=np.int64)
+    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(off))
+    return off, src, np.frombuffer(g.targets, dtype=np.int64)
+
+
+def _has_keys(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Which of `wanted` occur in the sorted array `keys`, which may be empty
+    only when `wanted` is."""
+    return keys[np.minimum(np.searchsorted(keys, wanted), keys.size - 1)] == wanted
 
 
 # -- connectivity ----------------------------------------------------------
@@ -180,7 +218,7 @@ def _array_csr(n: int, edges: np.ndarray) -> Graph:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted, ordered by minimum."""
-    off, tgt = g.offsets, g.targets
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
     seen = bytearray(g.n)
     comps: list[list[int]] = []
     for s in range(g.n):
@@ -202,20 +240,23 @@ def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
     """The subgraph induced by each connected component, relabelled densely,
     with its sorted vertex list (``old_ids[new]`` = original vertex id).
 
-    A component holds all neighbours of its vertices, and the dense
-    relabelling is monotone within it, so each relabelled run is already
-    sorted and the component's CSR is read off in one pass.
+    A connected graph is returned as it is.  Otherwise a component holds all
+    neighbours of its vertices, and the dense relabelling is monotone within
+    it, so each relabelled run is already sorted and the component's CSR is
+    read off in one pass.
     """
-    off, tgt = g.offsets, g.targets
     comps = connected_components(g)
+    if len(comps) == 1:
+        return [(g, comps[0])]
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
     index = [0] * g.n
     for comp in comps:
         for i, v in enumerate(comp):
             index[v] = i
     out = []
     for comp in comps:
-        offsets = list(accumulate((off[v + 1] - off[v] for v in comp), initial=0))
-        targets = [index[w] for v in comp for w in tgt[off[v]:off[v + 1]]]
+        offsets = array("q", accumulate((off[v + 1] - off[v] for v in comp), initial=0))
+        targets = array("q", [index[w] for v in comp for w in tgt[off[v]:off[v + 1]]])
         out.append((Graph(len(comp), offsets, targets), comp))
     return out
 
@@ -223,7 +264,7 @@ def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
-    off, tgt = g.offsets, g.targets
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
     seen = bytearray(g.n)
     seen[0] = 1
     order = [0]
@@ -278,26 +319,25 @@ def girth(g: Graph) -> int | float:
 def list_triangles(g: Graph) -> list[tuple[int, int, int]]:
     """Every 3-clique exactly once as (u, v, w) with u < v < w, sorted.
 
-    For each u, its higher neighbours are marked with u; a triangle is then a
-    higher neighbour v of u and a marked higher neighbour w of v.  Runs are
+    Each edge (u, v) with u < v, where u has two or more higher neighbours,
+    is paired with every higher neighbour w of v; (u, v, w) is a triangle
+    when u·n + w is one of the CSR's sorted keys.  Edges and runs are
     sorted, so the triangles come out in lexicographic order.
     """
-    off, tgt = g.offsets, g.targets
-    mark = [-1] * g.n
-    out: list[tuple[int, int, int]] = []
-    for u in range(g.n):
-        hi = off[u + 1]
-        higher = tgt[bisect_right(tgt, u, off[u], hi):hi]
-        if len(higher) < 2:
-            continue
-        for v in higher:
-            mark[v] = u
-        for v in higher:
-            vhi = off[v + 1]
-            for w in tgt[bisect_right(tgt, v, off[v], vhi):vhi]:
-                if mark[w] == u:
-                    out.append((u, v, w))
-    return out
+    n = g.n
+    off, src, tgt = _csr_arrays(g)
+    upper = src < tgt
+    u, v = src[upper], tgt[upper]
+    higher = np.bincount(u, minlength=n)  # higher neighbours of each vertex
+    start = off[1:] - higher  # where each vertex's run of higher neighbours starts
+    pick = higher[u] >= 2
+    u, v = u[pick], v[pick]
+    counts = higher[v]
+    # candidate i of edge j sits at start[v_j] + i
+    pos = np.arange(counts.sum()) + np.repeat(start[v] - (np.cumsum(counts) - counts), counts)
+    u, v, w = np.repeat(u, counts), np.repeat(v, counts), tgt[pos]
+    hit = _has_keys(src * n + tgt, u * n + w)
+    return list(zip(u[hit].tolist(), v[hit].tolist(), w[hit].tolist()))
 
 
 def bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
@@ -328,8 +368,8 @@ def is_bipartite(g: Graph) -> bool:
 
 def is_chordal(g: Graph) -> bool:
     """Maximum cardinality search in O(n + m), then a check that it gave a
-    perfect elimination ordering (Tarjan & Yannakakis, SIAM J. Comput. 1984),
-    bisecting the sorted neighbour runs."""
+    perfect elimination ordering (Tarjan & Yannakakis, SIAM J. Comput. 1984)
+    in one numpy pass, ``_is_peo``."""
     n = g.n
     if n == 0:
         return True
@@ -338,7 +378,7 @@ def is_chordal(g: Graph) -> bool:
     # when their weight became k.  Weights only grow and the highest nonempty
     # bucket is served first, so a vertex is numbered from its current entry
     # and its older, lower entries are skipped when popped later.
-    off, tgt = g.offsets, g.targets
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
     weight = [0] * n
     numbered = bytearray(n)
     order = [0] * n  # order[i] = vertex in position i of the elimination ordering
@@ -363,21 +403,28 @@ def is_chordal(g: Graph) -> bool:
                 buckets[k].append(w)
                 if k > top:
                     top = k
-    position = [0] * n
-    for i, v in enumerate(order):
-        position[v] = i
-    for i, v in enumerate(order):
-        later = [w for w in tgt[off[v]:off[v + 1]] if position[w] > i]
-        if not later:
-            continue
-        u = min(later, key=lambda w: position[w])
-        lo, hi = off[u], off[u + 1]
-        for w in later:
-            if w != u:
-                j = bisect_left(tgt, w, lo, hi)
-                if j == hi or tgt[j] != w:
-                    return False
-    return True
+    return _is_peo(g, order)
+
+
+def _is_peo(g: Graph, order: list[int]) -> bool:
+    """Whether `order` is a perfect elimination ordering of `g`: for every
+    vertex v and its first later neighbour p, every other later neighbour w
+    of v is adjacent to p.
+
+    The CSR entries (v, w) with w later than v are found by position, and p
+    is their least position per row.  An edge (p, w) is the key p·n + w, and
+    the CSR's keys v·n + w are sorted, so one ``searchsorted`` finds them all.
+    """
+    n = g.n
+    off, src, tgt = _csr_arrays(g)
+    order = np.asarray(order, dtype=np.int64)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n, dtype=np.int64)
+    later = np.where(position[tgt] > position[src], position[tgt], n)  # n: not later
+    # least later position per row; the sentinel keeps a trailing empty row in range
+    first = np.minimum.reduceat(np.append(later, n), off[:-1])
+    rest = (later < n) & (later > first[src])
+    return bool(_has_keys(src * n + tgt, order[first[src[rest]]] * n + tgt[rest]).all())
 
 
 # -- rooted trees ----------------------------------------------------------
@@ -637,8 +684,8 @@ def format_graph(g: Graph, comment: str | None = None) -> str:
         for line in comment.splitlines():
             out.append(f"c {line}")
     out.append(f"p edge {g.n} {g.m}")
-    for u, v in g.edges():
-        out.append(f"e {u + 1} {v + 1}")
+    u, v = g.edge_arrays()
+    out.extend(map("e {} {}".format, (u + 1).tolist(), (v + 1).tolist()))
     return "\n".join(out) + "\n"
 
 

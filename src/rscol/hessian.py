@@ -180,7 +180,7 @@ def greedy_rs_colouring(g: Graph, order: str = "natural") -> Colouring:
     neighbour per lower class.  Each neighbour blocks at most Δ colours, so a
     colour is at most Δ² and a mask has at most Δ² + 1 bits.
     """
-    off, tgt = g.offsets, g.targets
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
     colours = [-1] * g.n
     seen = [0] * g.n
     for v in _vertex_order(g, order):

@@ -84,7 +84,7 @@ class _Search(_NodeCount):
     def __init__(self, g: Graph, k: int, budget: SolveBudget):
         super().__init__(budget)
         self.k = k
-        self.adj = [list(g.neighbours(v)) for v in range(g.n)]
+        self.adj = g.adjacency()
         self.colour = [-1] * g.n
         # cnt[v][c] = number of neighbours of v currently coloured c
         self.cnt = [[0] * k for _ in range(g.n)]

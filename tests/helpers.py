@@ -6,10 +6,12 @@ formulation than the library code they check.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -32,7 +34,6 @@ from rscol.graph import (
     GraphError,
     RootedTree,
     connected_components,
-    is_chordal,
     is_tree,
     list_triangles,
     write_text,
@@ -706,7 +707,7 @@ def set_built_graph(n: int, edges) -> Graph:
     offsets = [0]
     for s in adj:
         offsets.append(offsets[-1] + len(s))
-    return Graph(n, offsets, [w for s in adj for w in sorted(s)])
+    return Graph(n, array("q", offsets), array("q", [w for s in adj for w in sorted(s)]))
 
 
 class ListGraph:
@@ -1257,13 +1258,16 @@ class StepwiseTrace:
     eliminations: int = 0
     triangle_counts: list[int] = field(default_factory=list)
     intermediates: list[Graph] = field(default_factory=list)
+    # origin[v]: the input vertex that vertex v of the current graph stands
+    # for; a pendant stands for the corner it was attached to
+    origin: list[int] = field(default_factory=list)
 
 
 def stepwise_eliminate_triangles(g: Graph, keep_intermediates: bool = False) -> StepwiseTrace:
     """Run the elimination loop on a connected graph until it is triangle-free
     or a type-I triangle appears.  Triangles are rescanned after every step
     because eliminations change degrees."""
-    trace = StepwiseTrace(None)
+    trace = StepwiseTrace(None, origin=list(range(g.n)))
     current = g
     while True:
         triangles = list_triangles(current)
@@ -1281,6 +1285,8 @@ def stepwise_eliminate_triangles(g: Graph, keep_intermediates: bool = False) -> 
                 type2 = (t, kind.low_degree_vertex)  # lexicographically smallest
         t, w = type2
         current = eliminate_type2_triangle(current, t, w)
+        u, v = (trace.origin[x] for x in t if x != w)
+        trace.origin = [x for i, x in enumerate(trace.origin) if i != w] + [u, u, v, v]
         trace.eliminations += 1
         if keep_intermediates:
             trace.intermediates.append(current)
@@ -1288,12 +1294,14 @@ def stepwise_eliminate_triangles(g: Graph, keep_intermediates: bool = False) -> 
 
 def stepwise_test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalTestResult:
     """Decide 3-rs colourability of a chordal graph; decision is the AND over
-    connected components.  Non-chordal input raises NotChordalError."""
-    if not is_chordal(g):
+    connected components.  Non-chordal input raises NotChordalError.  NO
+    reasons name input vertices from 1, a pendant by its corner."""
+    if not python_is_chordal(g):
         raise NotChordalError("input graph is not chordal")
     result = ChordalTestResult(True)
     for comp in connected_components(g):
         sub, _ = induced_subgraph(g, comp)
+        origin = list(range(sub.n))
         if is_tree(sub):
             tree = sub
         else:
@@ -1301,12 +1309,13 @@ def stepwise_test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalT
             if trace.type1_triangle is not None:
                 result.colourable = False
                 if result.reason is None:
+                    a, b, c = (comp[x] + 1 for x in trace.type1_triangle)
                     result.reason = (
-                        f"type-I triangle {trace.type1_triangle} in component at {comp[0]}"
+                        f"type-I triangle ({a}, {b}, {c}) in component at {comp[0] + 1}"
                     )
                 result.component_results.append(None)
                 continue
-            tree = trace.final_tree
+            tree, origin = trace.final_tree, trace.origin
         if collect_trees:
             result.final_trees.append(tree)
         tree_result = test_3rs_tree(tree)
@@ -1314,5 +1323,93 @@ def stepwise_test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalT
         if not tree_result.colourable:
             result.colourable = False
             if result.reason is None:
-                result.reason = f"component at {comp[0]}: {tree_result.reason_text()}"
+                words = tree_result.reason_text().rsplit(" ", 1)[0]
+                vertex = comp[origin[tree_result.reason_vertex]] + 1
+                result.reason = f"component at {comp[0] + 1}: {words} {vertex}"
     return result
+
+
+# -- Python graph passes, as they were before the numpy ones ---------------------------
+
+
+def python_is_chordal(g: Graph) -> bool:
+    """``is_chordal`` with its perfect elimination ordering check as a Python
+    loop: the maximum cardinality search, then for each vertex a bisection
+    of its first later neighbour's run for every other later neighbour."""
+    n = g.n
+    if n == 0:
+        return True
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
+    weight = [0] * n
+    numbered = bytearray(n)
+    order = [0] * n
+    buckets = [list(range(n - 1, -1, -1))]
+    top = 0
+    for pos in range(n - 1, -1, -1):
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            v = bucket.pop()
+            if not numbered[v]:
+                break
+        numbered[v] = 1
+        order[pos] = v
+        for w in tgt[off[v]:off[v + 1]]:
+            if not numbered[w]:
+                k = weight[w] = weight[w] + 1
+                if k == len(buckets):
+                    buckets.append([])
+                buckets[k].append(w)
+                if k > top:
+                    top = k
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    for i, v in enumerate(order):
+        later = [w for w in tgt[off[v]:off[v + 1]] if position[w] > i]
+        if not later:
+            continue
+        u = min(later, key=lambda w: position[w])
+        lo, hi = off[u], off[u + 1]
+        for w in later:
+            if w != u:
+                j = bisect.bisect_left(tgt, w, lo, hi)
+                if j == hi or tgt[j] != w:
+                    return False
+    return True
+
+
+def python_list_triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """``list_triangles`` as a Python loop: for each u, its higher neighbours
+    are marked with u, and a triangle is a higher neighbour v of u with a
+    marked higher neighbour w of v."""
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
+    mark = [-1] * g.n
+    out: list[tuple[int, int, int]] = []
+    for u in range(g.n):
+        hi = off[u + 1]
+        higher = tgt[bisect.bisect_right(tgt, u, off[u], hi):hi]
+        if len(higher) < 2:
+            continue
+        for v in higher:
+            mark[v] = u
+        for v in higher:
+            vhi = off[v + 1]
+            for w in tgt[bisect.bisect_right(tgt, v, off[v], vhi):vhi]:
+                if mark[w] == u:
+                    out.append((u, v, w))
+    return out
+
+
+def line_formatted_graph(g: Graph, comment: str | None = None) -> str:
+    """``format_graph`` as it was: one f-string per line of ``Graph.edges``."""
+    out = []
+    if comment:
+        for line in comment.splitlines():
+            out.append(f"c {line}")
+    out.append(f"p edge {g.n} {g.m}")
+    for u, v in g.edges():
+        out.append(f"e {u + 1} {v + 1}")
+    return "\n".join(out) + "\n"

@@ -1,7 +1,10 @@
+import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import classify_triangle, eliminate_type2_triangle
@@ -11,6 +14,7 @@ from rscol.chordal3rs import test_3rs_chordal as run_chordal_test
 from rscol.graph import (
     Graph,
     complete_graph,
+    component_subgraphs,
     cycle_graph,
     is_chordal,
     is_tree,
@@ -168,6 +172,9 @@ class TestOnePassAgainstStepwise:
         assert fast.final_tree == slow.final_tree
         assert fast.eliminations == slow.eliminations
         assert fast.triangle_counts == slow.triangle_counts[:1]
+        if fast.final_tree is not None:
+            origin = range(g.n) if fast.origin is None else fast.origin.tolist()
+            assert list(origin) == slow.origin
 
     @DIFFERENTIAL
     @given(helpers.chordal_graphs(max_components=5))
@@ -210,6 +217,84 @@ class TestOnePassAgainstStepwise:
             run_chordal_test(g)
 
 
+class TestComponentsFirst:
+    @DIFFERENTIAL
+    @given(helpers.chordal_graphs(max_components=5), st.integers(0, 2**32 - 1))
+    def test_forest_skips_the_chordality_test(self, g, seed):
+        # the tree edges of each component (a BFS forest of g): m = n - c
+        rnd = random.Random(seed)
+        edges = [e for sub, comp in component_subgraphs(g) for e in
+                 (tuple(comp[x] for x in pair) for pair in bfs_tree_edges(sub, rnd))]
+        forest = Graph.from_edge_list(g.n, edges)
+        expected = helpers.stepwise_test_3rs_chordal(forest, collect_trees=True)
+
+        def refuse(_):
+            raise AssertionError("the chordality test ran on a forest")
+
+        with mock.patch.object(chordal3rs, "is_chordal", refuse):
+            result = run_chordal_test(forest)
+        assert (result.colourable, result.reason) == (expected.colourable, expected.reason)
+        assert result.final_trees == expected.final_trees
+
+    def test_connected_graph_is_not_rebuilt(self):
+        g = helpers.worked_tree()
+        assert component_subgraphs(g) == [(g, list(range(g.n)))]
+        assert component_subgraphs(g)[0][0] is g
+        assert run_chordal_test(g).final_trees[0] is g
+
+    def test_non_chordal_component_raises_before_any_test(self, monkeypatch):
+        # a K4 component (NO) first, then a 4-cycle: the input is refused,
+        # not answered NO, and no component reaches a tester
+        def refuse(*_):
+            raise AssertionError("a component was tested")
+
+        monkeypatch.setattr(chordal3rs, "test_3rs_tree", refuse)
+        monkeypatch.setattr(chordal3rs, "eliminate_triangles", refuse)
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4)]
+        with pytest.raises(NotChordalError):
+            run_chordal_test(Graph.from_edge_list(8, edges))
+
+
+def bfs_tree_edges(g: Graph, rnd: random.Random) -> list[tuple[int, int]]:
+    """The edges of a BFS tree of the connected graph g, from a random root."""
+    root = rnd.randrange(g.n)
+    seen, order, edges = {root}, [root], []
+    for u in order:
+        for w in g.neighbours(u):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                edges.append((u, w))
+    return edges
+
+
+class TestReasonsInInputIds:
+    """NO reasons name input vertices from 1, as graph files do."""
+
+    def test_tree_reason_through_the_renumbering(self):
+        # the worked tree shifted up by one, with an ear 0 on its edge (7, 8),
+        # now (8, 9): eliminating the ear moves every vertex back down, and
+        # the tree tester's vertex 8 of the reduced tree is input vertex 9
+        worked = helpers.worked_tree()
+        g = Graph.from_edge_list(15, [(u + 1, v + 1) for u, v in worked.edges()] + [(0, 8), (0, 9)])
+        result = run_chordal_test(g)
+        assert result.component_results[0].reason_vertex == 8
+        assert result.reason == "component at 1: class A branch at vertex 10"
+        assert result.reason == helpers.stepwise_test_3rs_chordal(g).reason
+
+    def test_type1_triangle_and_component(self):
+        # a path 0-1 and then K4 on 2..5 with a pendant 6 at vertex 5
+        edges = [(0, 1), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6)]
+        result = run_chordal_test(Graph.from_edge_list(7, edges))
+        assert result.reason == "type-I triangle (3, 4, 5) in component at 3"
+
+    def test_tree_component_reason(self):
+        # the worked tree as the second component, after an isolated vertex
+        worked = helpers.worked_tree()
+        g = Graph.from_edge_list(15, [(u + 1, v + 1) for u, v in worked.edges()])
+        assert run_chordal_test(g).reason == "component at 2: class A branch at vertex 6"
+
+
 class TestManyComponents:
     def test_2000_components_in_one_pass(self):
         # vertex i of component c becomes i * count + c (then ids are made
@@ -234,7 +319,10 @@ class TestManyComponents:
 
         expected = [helpers.stepwise_test_3rs_chordal(part, collect_trees=True) for part in parts]
         assert not result.colourable
-        assert result.reason == expected[1500].reason.replace("at 0", "at 1500")
+        # vertex i of part 1500 is input vertex i * 2000 + 1500: every part has
+        # vertices 0..4, so no smaller id is missing and the dense id is the same
+        assert expected[1500].reason == "type-I triangle (1, 2, 3) in component at 1"
+        assert result.reason == "type-I triangle (1501, 3501, 5501) in component at 1501"
         assert result.final_trees == [t for e in expected for t in e.final_trees]
         assert tree_outcomes(result) == [o for e in expected for o in tree_outcomes(e)]
         assert elapsed < 1.0

@@ -253,6 +253,22 @@ class TestTreeAndChordal:
 
         assert is_tree(read_graph_file(str(dump)))
 
+    def test_chordal3rs_no_reason_in_file_ids(self, workdir, capsys):
+        # the worked tree on vertices 2..15 of the file, with an ear 1 on its
+        # edge 9-10: the reduced tree's vertex 8 (0-based) is file vertex 10
+        worked = helpers.worked_tree()
+        edges = [(u + 1, v + 1) for u, v in worked.edges()] + [(0, 8), (0, 9)]
+        write_graph_file(Graph.from_edge_list(15, edges), str(workdir / "eared.gr"))
+        code, token, out = run_cli(capsys, "chordal3rs", "-g", workdir / "eared.gr")
+        assert (code, token) == (1, "NO")
+        assert out.splitlines()[1] == "reason: component at 1: class A branch at vertex 10"
+        # an edge 1-6, then K4 on file vertices 2..5, whose first triangle is type I
+        k4 = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+        write_graph_file(Graph.from_edge_list(6, [(0, 5), *k4]), str(workdir / "k4.gr"))
+        code, token, out = run_cli(capsys, "chordal3rs", "-g", workdir / "k4.gr")
+        assert (code, token) == (1, "NO")
+        assert out.splitlines()[1] == "reason: type-I triangle (2, 3, 4) in component at 2"
+
     def test_chordal_rejects_non_chordal(self, workdir, capsys):
         from rscol.graph import cycle_graph
 

@@ -114,6 +114,34 @@ class TestCsrAgainstListOfLists:
         if ga == gb:
             assert hash(ga) == hash(gb)
 
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_LISTS)
+    def test_equal_and_hash_across_construction_paths(self, n_edges):
+        # Python pairs, an (m, 2) array, the set-built CSR and a component
+        # split all give the same packed arrays, so equal graphs hash alike
+        n, edges = n_edges
+        pairs = Graph.from_edge_list(n, edges)
+        packed = Graph.from_edge_list(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        built = helpers.set_built_graph(n, edges)
+        assert pairs == packed == built
+        assert hash(pairs) == hash(packed) == hash(built)
+        for sub, comp in component_subgraphs(pairs):
+            induced, _ = helpers.induced_subgraph(pairs, comp)
+            assert sub == induced and hash(sub) == hash(induced)
+        assert pairs.offsets.typecode == packed.offsets.typecode == "q"
+        assert pairs.targets.typecode == packed.targets.typecode == "q"
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_LISTS, st.sampled_from([None, "", "one line", "two\nlines"]))
+    def test_edge_arrays_and_format_against_generators(self, n_edges, comment):
+        n, edges = n_edges
+        g = Graph.from_edge_list(n, edges)
+        u, v = g.edge_arrays()
+        oracle = helpers.ListGraph(n, edges).edges()
+        assert list(zip(u.tolist(), v.tolist())) == list(g.edges()) == oracle
+        assert all(type(x) is int for e in g.edges() for x in e)
+        assert format_graph(g, comment) == helpers.line_formatted_graph(g, comment)
+
     def test_neighbours_is_a_copy(self):
         g = path_graph(3)
         g.neighbours(1).append(7)
@@ -186,6 +214,25 @@ class TestTriangles:
         assert len(brute) == 4
 
 
+class TestTrianglesAgainstPythonLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(EDGE_LISTS)
+    def test_random_graphs(self, n_edges):
+        g = Graph.from_edge_list(*n_edges)
+        assert list_triangles(g) == helpers.python_list_triangles(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(helpers.chordal_graphs(max_components=4))
+    def test_chordal_graphs(self, g):
+        assert list_triangles(g) == helpers.python_list_triangles(g)
+
+    def test_dense_and_empty(self):
+        for g in (complete_graph(9), star_graph(6), Graph.from_edge_list(4, []),
+                  Graph.from_edge_list(0, [])):
+            assert list_triangles(g) == helpers.python_list_triangles(g)
+        assert len(list_triangles(complete_graph(9))) == 84
+
+
 class TestBipartite:
     def test_triangle(self):
         assert not is_bipartite(cycle_graph(3))
@@ -213,6 +260,17 @@ class TestBipartite:
 
         gg = sat_to_graph(helpers.unsat_cubic_formula())
         assert is_bipartite(gg.graph)
+
+
+@st.composite
+def forests(draw, max_n: int = 40) -> Graph:
+    """Random forests on 1..max_n vertices, vertices shuffled: each vertex
+    after the first joins an earlier one or starts a new tree."""
+    n = draw(st.integers(1, max_n))
+    parents = [draw(st.integers(-1, v - 1)) for v in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[v], perm[p]) for v, p in enumerate(parents, start=1) if p >= 0]
+    return Graph.from_edge_list(n, edges)
 
 
 def as_networkx(g: Graph) -> nx.Graph:
@@ -247,7 +305,7 @@ class TestChordal:
         assert is_chordal(g)
         if missing:
             g = Graph.from_edge_list(g.n, [*g.edges(), missing[pick % len(missing)]])
-        assert is_chordal(g) == nx.is_chordal(as_networkx(g))
+        assert is_chordal(g) == nx.is_chordal(as_networkx(g)) == helpers.python_is_chordal(g)
         if g.n <= 9:
             assert is_chordal(g) == helpers.brute_is_chordal(g)
 
@@ -255,7 +313,27 @@ class TestChordal:
     @given(st.integers(0, 30), st.floats(0, 1), st.integers(0, 2**32 - 1))
     def test_against_networkx_random(self, n, p, seed):
         g = helpers.random_graph(n, p, random.Random(seed))
-        assert is_chordal(g) == nx.is_chordal(as_networkx(g))
+        assert is_chordal(g) == nx.is_chordal(as_networkx(g)) == helpers.python_is_chordal(g)
+
+    @CHORDAL
+    @given(forests(), st.integers(0, 2**32 - 1))
+    def test_forests_and_one_more_edge(self, g, pick):
+        # a forest is chordal; one more edge closes a cycle, chordal only
+        # when it is a triangle
+        assert is_chordal(g) and helpers.python_is_chordal(g)
+        missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        if missing:
+            g = Graph.from_edge_list(g.n, [*g.edges(), missing[pick % len(missing)]])
+        assert is_chordal(g) == nx.is_chordal(as_networkx(g)) == helpers.python_is_chordal(g)
+
+    def test_numpy_peo_check_reads_every_row(self):
+        # isolated vertices first and last, so that empty rows sit at both
+        # ends of the CSR; the 4-cycle in between is the only flaw
+        g = Graph.from_edge_list(7, [(1, 2), (2, 3), (3, 4), (4, 1)])
+        assert not is_chordal(g) and not helpers.python_is_chordal(g)
+        g = Graph.from_edge_list(7, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
+        assert is_chordal(g) and helpers.python_is_chordal(g)
+        assert is_chordal(Graph.from_edge_list(3, []))
 
 
 class TestRooting:

@@ -1,7 +1,10 @@
+import math
 import random
 import re
+import time
 from itertools import pairwise
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -402,3 +405,42 @@ class TestAgainstEnumWalk:
     @pytest.mark.parametrize("t, message", BAD_INPUTS)
     def test_same_error_on_bad_input(self, t, message):
         assert outcome(run_tree_test, t) == outcome(helpers.enum_walk_test_3rs_tree, t) == message
+
+
+# -- the walk in linear time --------------------------------------------------------------
+
+
+def subdivided_yes_tree(n0: int, rng: np.random.Generator) -> Graph:
+    """A random recursive tree on n0 vertices with every edge replaced by a
+    path of three edges, randomly relabelled.  Colouring the tree vertices 0
+    and the two inner vertices of each path 2 and 1 makes it 3-rs coloured
+    (the 2 next to either end), so the tester walks every vertex."""
+    m0 = n0 - 1
+    child = np.arange(1, n0, dtype=np.int64)
+    parent = (rng.random(m0) * child).astype(np.int64)
+    a = n0 + 2 * np.arange(m0, dtype=np.int64)
+    us = np.concatenate([parent, a, a + 1])
+    vs = np.concatenate([a, a + 1, child])
+    n = n0 + 2 * m0
+    label = rng.permutation(n)
+    return Graph.from_edge_list(n, np.stack((label[us], label[vs]), axis=1))
+
+
+def test_walk_linearity_on_yes_trees():
+    # the same minimax fit and bound as acceptance c15, on trees the tester
+    # accepts, so the time is the walk over every vertex and not the set-up
+    rng = np.random.default_rng(1818)
+    points = []
+    for target in (10_000, 100_000, 1_000_000):
+        g = subdivided_yes_tree((target + 2) // 3, rng)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            result = run_tree_test(g)
+            best = min(best, time.perf_counter() - start)
+        assert result.colourable and result.visited == g.n
+        points.append((g.n, best))
+    rates = [t / n for n, t in points]
+    a = math.sqrt(min(rates) * max(rates))
+    deviation = max(max(rates) / a, a / min(rates))
+    assert deviation <= 2.0, points
