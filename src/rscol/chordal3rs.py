@@ -11,14 +11,22 @@ triangle's type: it only raises the degrees of the two kept corners (each
 loses one neighbour and gains two pendants), and a degree-2 vertex lies in
 exactly one triangle.  So the triangles are listed once, and either the graph
 has a type-I triangle or every triangle loses its smallest degree-2 corner in
-a single pass, after which the reduced tree is built by a few numpy calls.
+a single pass, after which the reduced graph is built by a few numpy calls.
 
-The tester splits the components first.  A graph with m = n - c edges for c
-components is a forest, hence chordal, and skips the chordality test; each
-tree component goes to the tree tester as it is.  A connected graph is its own
-only component, not a rebuilt copy.  NO reasons name vertices of the input,
-numbered from 1 as in graph files: a pendant of the reduced tree is named by
-the corner it hangs from.
+The elimination also certifies chordality.  A dropped corner has degree 2 and
+adjacent neighbours, so it is simplicial, and none of its neighbours is
+dropped; removing simplicial vertices and adding pendants keeps chordality
+both ways.  The reduced graph is connected and triangle-free, and such a graph
+is chordal exactly when it is a tree.  So a component with no type-I triangle
+is chordal exactly when it reduces to a tree, and ``is_chordal`` runs only on
+a component with a type-I triangle, where it tells NO from not chordal.
+
+The tester splits the components first; a tree component (m = n - 1) goes to
+the tree tester as it is, and a connected graph is its own only component, not
+a rebuilt copy.  Every component is reduced, and chordality settled, before
+any tree tester runs, so a refused input reaches no tester.  NO reasons name
+vertices of the input, numbered from 1 as in graph files: a pendant of the
+reduced tree is named by the corner it hangs from.
 """
 
 from __future__ import annotations
@@ -101,27 +109,28 @@ def test_3rs_chordal(g: Graph) -> ChordalTestResult:
     connected components.  Non-chordal input raises NotChordalError.
     ``final_trees`` holds each reduced tree the tree tester ran on."""
     components = component_subgraphs(g)
-    if g.m != g.n - len(components) and not is_chordal(g):  # a forest is chordal
-        raise NotChordalError("input graph is not chordal")
+    traces = []
+    for sub, _ in components:
+        # a connected component with m = n - 1 is a tree: the edge count settles it
+        trace = EliminationTrace(sub) if sub.m == sub.n - 1 else eliminate_triangles(sub)
+        tree = trace.final_tree
+        if tree is None:  # a type-I triangle: NO if the component is chordal
+            chordal = is_chordal(sub)
+        else:  # connected and triangle-free: chordal exactly when a tree
+            chordal = tree.m == tree.n - 1
+        if not chordal:
+            raise NotChordalError("input graph is not chordal")
+        traces.append(trace)
     result = ChordalTestResult(True)
-    for sub, comp in components:
-        origin = None
-        if sub.m == sub.n - 1:  # a connected component: the edge count settles it
-            tree = sub
-        else:
-            trace = eliminate_triangles(sub)
-            if trace.type1_triangle is not None:
-                result.colourable = False
-                if result.reason is None:
-                    corners = tuple(comp[x] + 1 for x in trace.type1_triangle)
-                    result.reason = f"type-I triangle {corners} in component at {comp[0] + 1}"
-                result.component_results.append(None)
-                continue
-            tree, origin = trace.final_tree, trace.origin
-            # elimination keeps a component connected; only a cycle of length
-            # four or more (a non-chordal input) survives it
-            if tree.m != tree.n - 1:
-                raise RuntimeError(f"component at {comp[0] + 1} did not reduce to a tree")
+    for (_, comp), trace in zip(components, traces):
+        if trace.type1_triangle is not None:
+            result.colourable = False
+            if result.reason is None:
+                corners = tuple(comp[x] + 1 for x in trace.type1_triangle)
+                result.reason = f"type-I triangle {corners} in component at {comp[0] + 1}"
+            result.component_results.append(None)
+            continue
+        tree, origin = trace.final_tree, trace.origin
         result.final_trees.append(tree)
         tree_result = test_3rs_tree(tree)
         result.component_results.append(tree_result)

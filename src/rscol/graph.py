@@ -45,7 +45,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, pairwise
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -213,67 +213,92 @@ def _has_keys(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return keys[np.minimum(np.searchsorted(keys, wanted), keys.size - 1)] == wanted
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + counts[i] - 1`` for every i,
+    end to end."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+
+
 # -- connectivity ----------------------------------------------------------
 
 
+def _component_labels(g: Graph) -> np.ndarray:
+    """The least vertex of each vertex's component, as an int64 array.
+
+    Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 1982):
+    ``f`` starts as the identity and every label is a root, ``f[r] == r``.
+    Each round hooks the larger root of every edge whose ends carry different
+    labels onto the smaller one (one ``np.minimum.at``), then jumps
+    ``f = f[f]`` until every label is a root again.  Labels only fall and stay
+    inside the component, so once every edge's ends agree, each vertex carries
+    its component's least vertex.  An edge whose ends agree never parts again
+    and leaves the working set.
+    """
+    f = np.arange(g.n, dtype=np.int64)
+    u, v = g.edge_arrays()
+    while True:
+        a, b = f[u], f[v]
+        live = a != b
+        if not live.any():
+            return f
+        u, v, a, b = u[live], v[live], a[live], b[live]
+        np.minimum.at(f, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = f[f]
+            if np.array_equal(jumped, f):
+                break
+            f = jumped
+
+
 def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, ordered by minimum."""
-    off, tgt = g.offsets.tolist(), g.targets.tolist()
-    seen = bytearray(g.n)
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        comp = [s]
-        for u in comp:  # comp grows while we iterate: sequential BFS
-            for w in tgt[off[u]:off[u + 1]]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
+    """Vertex lists of the connected components, each sorted, ordered by minimum.
+
+    One stable argsort of ``_component_labels`` groups the vertices by their
+    component's least vertex, ascending within each group."""
+    if g.n == 0:
+        return []
+    labels = _component_labels(g)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    vertices = order.tolist()
+    return [vertices[lo:hi] for lo, hi in pairwise([0, *bounds.tolist(), g.n])]
 
 
 def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
     """The subgraph induced by each connected component, relabelled densely,
     with its sorted vertex list (``old_ids[new]`` = original vertex id).
 
-    A connected graph is returned as it is.  Otherwise a component holds all
-    neighbours of its vertices, and the dense relabelling is monotone within
-    it, so each relabelled run is already sorted and the component's CSR is
-    read off in one pass.
+    A connected graph is returned as it is.  Otherwise the components' vertex
+    lists, laid end to end, order all vertices, and a vertex's new id is its
+    place in its own list.  The CSR rows in that order, with their targets
+    renamed, hold every component's CSR one after another: a component holds
+    all neighbours of its vertices and the renaming is monotone within it, so
+    each renamed row is still sorted.
     """
     comps = connected_components(g)
-    if len(comps) == 1:
-        return [(g, comps[0])]
-    off, tgt = g.offsets.tolist(), g.targets.tolist()
-    index = [0] * g.n
-    for comp in comps:
-        for i, v in enumerate(comp):
-            index[v] = i
+    if len(comps) <= 1:
+        return [(g, comp) for comp in comps]
+    off, _, tgt = _csr_arrays(g)
+    order = np.fromiter(chain.from_iterable(comps), dtype=np.int64, count=g.n)
+    sizes = np.array([len(comp) for comp in comps], dtype=np.int64)
+    firsts = np.cumsum(sizes) - sizes
+    new_id = np.empty(g.n, dtype=np.int64)
+    new_id[order] = np.arange(g.n, dtype=np.int64) - np.repeat(firsts, sizes)
+    degrees = np.diff(off)[order]
+    offsets = np.concatenate(([0], np.cumsum(degrees)))
+    targets = new_id[tgt[_ranges(off[order], degrees)]]
     out = []
-    for comp in comps:
-        offsets = array("q", accumulate((off[v + 1] - off[v] for v in comp), initial=0))
-        targets = array("q", [index[w] for v in comp for w in tgt[off[v]:off[v + 1]]])
-        out.append((Graph(len(comp), offsets, targets), comp))
+    for comp, lo, hi in zip(comps, firsts.tolist(), (firsts + sizes).tolist()):
+        rows = offsets[lo:hi + 1]
+        sub = Graph(hi - lo, _packed(rows - rows[0]), _packed(targets[rows[0]:rows[-1]]))
+        out.append((sub, comp))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    off, tgt = g.offsets.tolist(), g.targets.tolist()
-    seen = bytearray(g.n)
-    seen[0] = 1
-    order = [0]
-    for u in order:  # order grows while we iterate: sequential BFS
-        for w in tgt[off[u]:off[u + 1]]:
-            if not seen[w]:
-                seen[w] = 1
-                order.append(w)
-    return len(order) == g.n
+    """Whether every vertex's component has least vertex 0."""
+    return not _component_labels(g).any()
 
 
 def is_tree(g: Graph) -> bool:
@@ -334,8 +359,7 @@ def list_triangles(g: Graph) -> list[tuple[int, int, int]]:
     u, v = u[pick], v[pick]
     counts = higher[v]
     # candidate i of edge j sits at start[v_j] + i
-    pos = np.arange(counts.sum()) + np.repeat(start[v] - (np.cumsum(counts) - counts), counts)
-    u, v, w = np.repeat(u, counts), np.repeat(v, counts), tgt[pos]
+    u, v, w = np.repeat(u, counts), np.repeat(v, counts), tgt[_ranges(start[v], counts)]
     hit = _has_keys(src * n + tgt, u * n + w)
     return list(zip(u[hit].tolist(), v[hit].tolist(), w[hit].tolist()))
 

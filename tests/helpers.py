@@ -1299,7 +1299,7 @@ def stepwise_test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalT
     if not python_is_chordal(g):
         raise NotChordalError("input graph is not chordal")
     result = ChordalTestResult(True)
-    for comp in connected_components(g):
+    for comp in python_connected_components(g):
         sub, _ = induced_subgraph(g, comp)
         origin = list(range(sub.n))
         if is_tree(sub):
@@ -1330,6 +1330,32 @@ def stepwise_test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalT
 
 
 # -- Python graph passes, as they were before the numpy ones ---------------------------
+
+
+def python_connected_components(g: Graph) -> list[list[int]]:
+    """``connected_components`` as a breadth-first search from each unseen
+    vertex in turn."""
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
+    seen = bytearray(g.n)
+    comps: list[list[int]] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        comp = [s]
+        for u in comp:  # comp grows while we iterate: sequential BFS
+            for w in tgt[off[u]:off[u + 1]]:
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
+        comp.sort()
+        comps.append(comp)
+    return comps
+
+
+def python_is_connected(g: Graph) -> bool:
+    """``is_connected`` as one breadth-first search."""
+    return len(python_connected_components(g)) <= 1
 
 
 def python_is_chordal(g: Graph) -> bool:

@@ -2,6 +2,7 @@ import random
 import time
 from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -210,10 +211,14 @@ class TestOnePassAgainstStepwise:
 
     def test_non_chordal_component_raises_without_assert(self, monkeypatch):
         # a 4-cycle with an ear on one edge: elimination removes the ear and
-        # leaves the cycle, which the tester must report even under python -O
-        monkeypatch.setattr(chordal3rs, "is_chordal", lambda g: True)
+        # leaves the cycle, which the tester must refuse even under python -O,
+        # and with no type-I triangle the reduced graph alone settles it
+        def refuse(_):
+            raise AssertionError("the chordality test ran without a type-I triangle")
+
+        monkeypatch.setattr(chordal3rs, "is_chordal", refuse)
         g = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
-        with pytest.raises(RuntimeError, match="did not reduce to a tree"):
+        with pytest.raises(NotChordalError):
             run_chordal_test(g)
 
 
@@ -249,7 +254,6 @@ class TestComponentsFirst:
             raise AssertionError("a component was tested")
 
         monkeypatch.setattr(chordal3rs, "test_3rs_tree", refuse)
-        monkeypatch.setattr(chordal3rs, "eliminate_triangles", refuse)
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4)]
         with pytest.raises(NotChordalError):
             run_chordal_test(Graph.from_edge_list(8, edges))
@@ -266,6 +270,107 @@ def bfs_tree_edges(g: Graph, rnd: random.Random) -> list[tuple[int, int]]:
                 order.append(w)
                 edges.append((u, w))
     return edges
+
+
+def ears_on_cycle(draw, length: int) -> tuple[int, list[tuple[int, int]]]:
+    """A chordless cycle of `length` vertices, with an ear on some of its
+    edges and, now and then, one chord; (n, edges)."""
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    n = length
+    for i in range(length):
+        if draw(st.booleans()):
+            edges += [(i, n), ((i + 1) % length, n)]
+            n += 1
+    if draw(st.integers(0, 3)) == 0:
+        a = draw(st.integers(0, length - 1))
+        edges.append((a, (a + draw(st.integers(2, length - 2))) % length))
+    return n, edges
+
+
+@st.composite
+def chordality_mixes(draw) -> Graph:
+    """Chordal parts, type-I gadgets (K4, a triangle with a pendant at each
+    corner) and chordless 4- to 8-cycles carrying ears, sometimes joined by a
+    bridge into one component, vertices shuffled."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["chordal", "k4", "pendant triangle", "cycle"]))
+        if kind == "chordal":
+            part = draw(helpers.chordal_graphs(max_n=10))
+            size, part_edges = part.n, list(part.edges())
+        elif kind == "k4":
+            size, part_edges = 4, list(complete_graph(4).edges())
+        elif kind == "pendant triangle":
+            size, part_edges = 6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]
+        else:
+            size, part_edges = ears_on_cycle(draw, draw(st.integers(4, 8)))
+        if n and draw(st.booleans()):  # a bridge to the parts before
+            edges.append((draw(st.integers(0, n - 1)), n + draw(st.integers(0, size - 1))))
+        edges += [(u + n, v + n) for u, v in part_edges]
+        n += size
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def as_networkx(g: Graph) -> nx.Graph:
+    out = nx.empty_graph(g.n)
+    out.add_edges_from(g.edges())
+    return out
+
+
+def assert_refused_exactly_when_not_chordal(g: Graph) -> None:
+    try:
+        result = run_chordal_test(g)
+    except NotChordalError:
+        assert not nx.is_chordal(as_networkx(g))
+        return
+    assert nx.is_chordal(as_networkx(g))
+    expected = helpers.stepwise_test_3rs_chordal(g, collect_trees=True)
+    assert (result.colourable, result.reason) == (expected.colourable, expected.reason)
+    assert result.final_trees == expected.final_trees
+
+
+class TestEliminationCertifiesChordality:
+    """A component without a type-I triangle is chordal exactly when its
+    triangle elimination leaves a tree; ``is_chordal`` runs only on the
+    components with one."""
+
+    @DIFFERENTIAL
+    @given(chordality_mixes())
+    def test_refused_exactly_when_networkx_says_not_chordal(self, g):
+        assert_refused_exactly_when_not_chordal(g)
+
+    @DIFFERENTIAL
+    @given(st.integers(0, 12), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, n, p, seed):
+        assert_refused_exactly_when_not_chordal(helpers.random_graph(n, p, random.Random(seed)))
+
+    @DIFFERENTIAL
+    @given(chordality_mixes())
+    def test_chordality_test_only_with_a_type1_triangle(self, g):
+        with mock.patch.object(chordal3rs, "is_chordal", side_effect=is_chordal) as spy:
+            try:
+                run_chordal_test(g)
+            except NotChordalError:
+                pass
+            calls = [sub for (sub,), _ in spy.call_args_list]
+        type1 = [sub for sub, _ in component_subgraphs(g)
+                 if sub.m != sub.n - 1 and eliminate_triangles(sub).type1_triangle is not None]
+        assert calls == type1[:len(calls)]
+        assert len(calls) == len(type1) or not nx.is_chordal(as_networkx(g))
+
+    def test_cycle_with_ears_after_a_type1_component(self):
+        # K4 first (NO if the input were chordal), then a 5-cycle whose every
+        # edge carries an ear: refused, and only K4 meets the chordality test
+        cycle = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+        cycle += [((i + 1) % 5, 5 + i) for i in range(5)]
+        edges = list(complete_graph(4).edges()) + [(u + 4, v + 4) for u, v in cycle]
+        g = Graph.from_edge_list(14, edges)
+        with mock.patch.object(chordal3rs, "is_chordal", side_effect=is_chordal) as spy:
+            with pytest.raises(NotChordalError):
+                run_chordal_test(g)
+        assert [sub for (sub,), _ in spy.call_args_list] == [complete_graph(4)]
 
 
 class TestReasonsInInputIds:

@@ -277,6 +277,32 @@ class TestTreeAndChordal:
         assert (code, token) == (2, "ERROR")
 
 
+NON_CHORDAL = {
+    # a 4-cycle with an ear on one edge: no type-I triangle, so the
+    # elimination alone refuses it
+    "eared_c4": (5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]),
+    # K4 first, which alone would be NO, then a 4-cycle
+    "k4_then_c4": (8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
+                   + [(4, 5), (5, 6), (6, 7), (7, 4)]),
+    # one component: a triangle with a pendant at each corner (type I), and a
+    # 5-cycle hanging from one pendant
+    "type1_with_c5": (10, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5),
+                           (5, 6), (6, 7), (7, 8), (8, 9), (9, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", NON_CHORDAL)
+def test_chordal3rs_refuses_non_chordal_file(workdir, capsys, monkeypatch, name):
+    n, edges = NON_CHORDAL[name]
+    path = workdir / f"{name}.gr"
+    write_graph_file(Graph.from_edge_list(n, edges), str(path))
+    monkeypatch.setattr("sys.argv", ["rscol", "chordal3rs", "-g", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == "RESULT: ERROR\ninput graph is not chordal\n"
+
+
 class TestPathFeasible:
     def test_infeasible_case(self, capsys):
         code, token, _ = run_cli(capsys, "path-feasible", "-n", 6, "-i", 0, "-j", 0)

@@ -22,6 +22,7 @@ from rscol.graph import (
     girth,
     is_bipartite,
     is_chordal,
+    is_connected,
     is_tree,
     list_triangles,
     parse_graph,
@@ -172,6 +173,145 @@ class TestDegreeAndTrees:
         split = component_subgraphs(g)
         assert split == [helpers.induced_subgraph(g, comp) for comp in connected_components(g)]
         assert all(type(w) is int for sub, _ in split for a in sub.adjacency() for w in a)
+
+
+LABELLINGS = ("sorted", "reversed", "zigzag", "random")
+
+
+def relabelled(n: int, edges, labelling: str, rnd: random.Random) -> Graph:
+    """The graph of `edges` with vertex i renamed by `labelling`: kept, reversed,
+    zigzag (0, n - 1, 1, n - 2, ...) or a random permutation."""
+    if labelling == "sorted":
+        name = list(range(n))
+    elif labelling == "reversed":
+        name = list(range(n - 1, -1, -1))
+    elif labelling == "zigzag":
+        name = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    else:
+        name = rnd.sample(range(n), n)
+    return Graph.from_edge_list(n, [(name[u], name[v]) for u, v in edges])
+
+
+def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    return edges + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+
+
+@st.composite
+def component_mixes(draw, max_parts: int = 8) -> Graph:
+    """Disjoint unions of paths, grids, cliques, random graphs and isolated
+    vertices, labelled by one of LABELLINGS, so that the components interleave
+    or not; n = 0 and n = 1 included."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(0, max_parts))):
+        kind = draw(st.sampled_from(["isolated", "path", "grid", "clique", "random"]))
+        if kind == "isolated":
+            size, part = 1, []
+        elif kind == "path":
+            size = draw(st.integers(2, 30))
+            part = [(i, i + 1) for i in range(size - 1)]
+        elif kind == "grid":
+            rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+            size, part = rows * cols, grid_edges(rows, cols)
+        elif kind == "clique":
+            size = draw(st.integers(2, 6))
+            part = list(complete_graph(size).edges())
+        else:
+            size = draw(st.integers(2, 15))
+            g = helpers.random_graph(size, draw(st.floats(0, 0.5)), random.Random(draw(st.integers())))
+            part = list(g.edges())
+        edges += [(u + n, v + n) for u, v in part]
+        n += size
+    return relabelled(n, edges, draw(st.sampled_from(LABELLINGS)), random.Random(draw(st.integers())))
+
+
+def nx_components(g: Graph) -> list[list[int]]:
+    return sorted(sorted(c) for c in nx.connected_components(as_networkx(g)))
+
+
+def assert_components_as_oracles(g: Graph) -> None:
+    comps = connected_components(g)
+    assert comps == helpers.python_connected_components(g) == nx_components(g)
+    assert all(type(v) is int for comp in comps for v in comp)
+    expected = g.n <= 1 or nx.is_connected(as_networkx(g))
+    assert is_connected(g) == helpers.python_is_connected(g) == expected
+    assert is_tree(g) == (g.n >= 1 and nx.is_tree(as_networkx(g)))
+    # each edge, renamed to its place in its component's vertex list, goes to
+    # that component's edge list
+    place = {v: (c, i) for c, comp in enumerate(comps) for i, v in enumerate(comp)}
+    parts: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in as_networkx(g).edges():
+        (c, a), (_, b) = place[u], place[v]
+        parts[c].append((a, b))
+    split = component_subgraphs(g)
+    assert [old for _, old in split] == comps
+    assert [sub for sub, _ in split] == [
+        Graph.from_edge_list(len(comp), part) for comp, part in zip(comps, parts)
+    ]
+
+
+COMPONENTS = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestComponentsAgainstBfs:
+    """Component labels by hooking and pointer jumping, against the Python
+    BFS they replaced and against networkx."""
+
+    def test_empty_and_single_vertex(self):
+        for n in (0, 1):
+            assert_components_as_oracles(Graph.from_edge_list(n, []))
+        assert connected_components(Graph.from_edge_list(0, [])) == []
+        assert component_subgraphs(Graph.from_edge_list(0, [])) == []
+
+    def test_isolated_vertices(self):
+        g = Graph.from_edge_list(7, [(2, 5)])
+        assert connected_components(g) == [[0], [1], [2, 5], [3], [4], [6]]
+        assert_components_as_oracles(g)
+        assert_components_as_oracles(Graph.from_edge_list(50, []))
+
+    @COMPONENTS
+    @given(component_mixes())
+    def test_mixed_components(self, g):
+        assert_components_as_oracles(g)
+
+    @COMPONENTS
+    @given(st.sampled_from(["path", "grid"]), st.integers(1, 400), st.sampled_from(LABELLINGS),
+           st.integers(0, 2**32 - 1))
+    def test_paths_and_grids(self, kind, size, labelling, seed):
+        if kind == "path":
+            n, edges = size, [(i, i + 1) for i in range(size - 1)]
+        else:
+            cols = max(1, int(size**0.5))
+            n, edges = (size // cols) * cols, grid_edges(size // cols, cols)
+        assert_components_as_oracles(relabelled(n, edges, labelling, random.Random(seed)))
+
+    @pytest.mark.parametrize("labelling", LABELLINGS)
+    def test_long_path(self, labelling):
+        # deep chains of hooks: a random-labelled path needs many rounds
+        n = 20_000
+        g = relabelled(n, [(i, i + 1) for i in range(n - 1)], labelling, random.Random(n))
+        assert connected_components(g) == [list(range(n))]
+        assert is_connected(g) and is_tree(g)
+        cut = Graph.from_edge_list(n, list(g.edges())[1:])  # drop one edge
+        assert connected_components(cut) == helpers.python_connected_components(cut)
+        assert not is_connected(cut)
+
+    def test_2000_components(self):
+        # 2000 paths, stars and triangles interleaved by a random labelling,
+        # plus 500 isolated vertices
+        rnd = random.Random(2000)
+        edges, n = [], 0
+        for i in range(2000):
+            size = 2 + i % 5
+            part = [(0, j) for j in range(1, size)] if i % 3 else [(j, j + 1) for j in range(size - 1)]
+            if i % 7 == 0:
+                part.append((1, 2) if size > 2 and i % 3 else (0, size - 1))
+            edges += [(u + n, v + n) for u, v in part]
+            n += size
+        g = relabelled(n + 500, edges, "random", rnd)
+        assert len(connected_components(g)) == 2500
+        assert_components_as_oracles(g)
 
 
 class TestGirth:
