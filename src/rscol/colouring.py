@@ -1,15 +1,29 @@
 """Colouring values and verifiers: proper, restricted-star, star, ordered, distance-two.
 
 Witness reporting is first-found under sorted vertex/colour order so test
-failures are deterministic.
+failures are deterministic.  The proper and rs verifiers are numpy passes over
+the graph's CSR (``graph._csr_arrays``): a monochromatic edge is one compare
+over the arcs, and an rs violation is a repeated key (vertex, colour of a
+lower neighbour) in one stable sort of the arcs into a lower colour.
+
+Colouring files (``read_colouring_file``, ``read_partial_colouring_file``)
+have one line ``<vertex_1based> <colour_0based>`` per coloured vertex, in any
+order; a line whose first token is exactly ``c`` is a comment and blank lines
+are skipped.  A whole file whose lines are all ``COLOUR_LINE`` is read by one
+``np.fromstring`` after ``graph.match_lines`` checks it, and its vertex range,
+repeats, coverage and colour budget are checked in numpy.  Any other file, or
+one that fails a check, goes to the line scanner, which names the first bad
+line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
-from .graph import Graph, VertexId, read_text, write_text
+import numpy as np
+
+from .graph import Graph, VertexId, _csr_arrays, match_lines, read_text, write_text
 
 
 class ColouringError(ValueError):
@@ -26,9 +40,9 @@ class Colouring:
     def __post_init__(self):
         if self.k < 0:
             raise ColouringError("colour budget must be nonnegative")
-        for v, c in enumerate(self.colours):
-            if not (0 <= c < self.k):
-                raise ColouringError(f"vertex {v} has colour {c} outside 0..{self.k - 1}")
+        if self.colours and not (0 <= min(self.colours) and max(self.colours) < self.k):
+            v, c = next((v, c) for v, c in enumerate(self.colours) if not 0 <= c < self.k)
+            raise ColouringError(f"vertex {v} has colour {c} outside 0..{self.k - 1}")
 
     @staticmethod
     def of(colours, k: int | None = None) -> Colouring:
@@ -84,13 +98,32 @@ def _check_domain(g: Graph, c: Colouring) -> None:
 # -- verifiers ---------------------------------------------------------------
 
 
+def _colour_array(g: Graph, c: Colouring) -> np.ndarray:
+    """The colours of `c` as an integer array whose entries are below n, so that
+    ``v * n + colour`` keys stay distinct: the colours themselves when they
+    are, else each colour's rank among the distinct colours, which keeps every
+    comparison between them."""
+    try:
+        colours = np.array(c.colours, dtype=np.int64)
+    except OverflowError:  # a colour beyond int64
+        colours = None
+    if colours is None or (colours.size and colours.max() >= g.n):
+        colours = np.unique(np.array(c.colours, dtype=object), return_inverse=True)[1]
+    return colours
+
+
+def _mono_edge(src: np.ndarray, tgt: np.ndarray, colours: np.ndarray) -> tuple[int, int] | None:
+    """The first arc u -> v with u < v and equal colours in CSR order, which is
+    the order of ``Graph.edges``, or None."""
+    mono = np.flatnonzero((src < tgt) & (colours[src] == colours[tgt]))
+    return (int(src[mono[0]]), int(tgt[mono[0]])) if mono.size else None
+
+
 def find_proper_violation(g: Graph, c: Colouring) -> tuple[int, int] | None:
     """First monochromatic edge, or None."""
     _check_domain(g, c)
-    for u, v in g.edges():
-        if c[u] == c[v]:
-            return (u, v)
-    return None
+    _, src, tgt = _csr_arrays(g)
+    return _mono_edge(src, tgt, _colour_array(g, c))
 
 
 def is_proper(g: Graph, c: Colouring) -> bool:
@@ -99,21 +132,27 @@ def is_proper(g: Graph, c: Colouring) -> bool:
 
 def find_rs_violation(g: Graph, c: Colouring) -> tuple[int, ...] | None:
     """First violating path x,y,z with c(y) > c(x) = c(z), else a monochromatic
-    edge (u, v) when the colouring is merely improper, else None."""
+    edge (u, v) when the colouring is merely improper, else None.
+
+    A middle y has two lower neighbours of one colour exactly when its key
+    y·n + c(x) repeats among the arcs y -> x into a lower colour.  The path
+    named is the one a scan of the rows in CSR order meets first: z is the
+    least arc in CSR order whose key repeats, and x the first arc of that key.
+    A stable sort keeps each key's arcs in CSR order.
+    """
     _check_domain(g, c)
-    colours = c.colours
-    off, tgt = g.offsets.tolist(), g.targets.tolist()
-    # scan middles: y with two equal-coloured lower neighbours
-    for y in range(g.n):
-        cy = colours[y]
-        seen: dict[int, int] = {}
-        for x in tgt[off[y]:off[y + 1]]:
-            cx = colours[x]
-            if cx < cy:
-                if cx in seen:
-                    return (seen[cx], y, x)
-                seen[cx] = x
-    return find_proper_violation(g, c)
+    _, src, tgt = _csr_arrays(g)
+    colours = _colour_array(g, c)
+    arcs = np.flatnonzero(colours[tgt] < colours[src])
+    keys = src[arcs] * g.n + colours[tgt[arcs]]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if repeats.size:
+        z = repeats.min()
+        x = order[np.searchsorted(sorted_keys, keys[z])]
+        return (int(tgt[arcs[x]]), int(src[arcs[z]]), int(tgt[arcs[z]]))
+    return _mono_edge(src, tgt, colours)
 
 
 def is_rs(g: Graph, c: Colouring) -> bool:
@@ -297,8 +336,33 @@ def check_properties_P(g: Graph, c: Colouring) -> PropertyReport:
 
 
 # -- file format --------------------------------------------------------------
-# One line per vertex: "<vertex_1based> <colour_0based>", sorted by vertex.
+# One line per coloured vertex: "<vertex_1based> <colour_0based>", in any order.
 # A line whose first token is exactly "c" is a comment, as in graph files.
+
+
+COLOUR_LINE = "[0-9]{1,18} [0-9]{1,18}"
+"""A colouring line as the whole-file path reads it: two runs of one to 18
+ASCII digits separated by one space.  Every such run fits an int64, so numpy
+reads it exactly as ``int()`` does."""
+
+
+def _colour_pairs(text: str, n: int, k: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The 0-based vertices and their colours of a file whose lines all match
+    COLOUR_LINE once normalised, each vertex in 1..n listed once, each colour
+    below the budget k of a partial colouring and, without k, every vertex
+    listed; None for any other file."""
+    lines = match_lines(text, COLOUR_LINE)
+    if lines is None:
+        return None
+    pairs = np.fromstring(lines, dtype=np.int64, sep=" ") if lines else np.zeros(0, np.int64)
+    vertices, colours = pairs[0::2] - 1, pairs[1::2]
+    if ((vertices < 0) | (vertices >= n)).any() or (k is not None and (colours >= k).any()):
+        return None
+    listed = np.zeros(n, dtype=bool)
+    listed[vertices] = True
+    if np.count_nonzero(listed) != len(vertices) or (k is None and len(vertices) != n):
+        return None  # a vertex listed twice, or one left out of a full colouring
+    return vertices, colours
 
 
 def _scan_colouring(lines, n: int, source: str, k: int | None = None) -> dict[int, int]:
@@ -327,7 +391,16 @@ def _scan_colouring(lines, n: int, source: str, k: int | None = None) -> dict[in
     return assigned
 
 
-def parse_colouring(lines, n: int, source: str = "<colouring>") -> Colouring:
+def parse_colouring(lines: str | Iterable[str], n: int, source: str = "<colouring>") -> Colouring:
+    """The colouring in `lines`, a whole file or an iterable of its lines; only
+    a whole file can take the whole-file path."""
+    if isinstance(lines, str):
+        pairs = _colour_pairs(lines, n, None)
+        if pairs is not None:
+            colours = np.empty(n, dtype=np.int64)
+            colours[pairs[0]] = pairs[1]
+            return Colouring.of(colours.tolist())
+        lines = lines.split("\n")
     assigned = _scan_colouring(lines, n, source)
     missing = [v + 1 for v in range(n) if v not in assigned]
     if missing:
@@ -336,20 +409,32 @@ def parse_colouring(lines, n: int, source: str = "<colouring>") -> Colouring:
 
 
 def read_colouring_file(path: str, n: int) -> Colouring:
-    return parse_colouring(read_text(path, ColouringError).split("\n"), n, source=path)
+    return parse_colouring(read_text(path, ColouringError), n, source=path)
 
 
-def parse_partial_colouring(lines, n: int, k: int, source: str = "<colouring>") -> PartialColouring:
+def parse_partial_colouring(lines: str | Iterable[str], n: int, k: int,
+                            source: str = "<colouring>") -> PartialColouring:
     """Same format as a colouring file, but vertices may be left out."""
+    if isinstance(lines, str):
+        pairs = _colour_pairs(lines, n, k)
+        if pairs is not None:
+            colours = np.full(n, None, dtype=object)
+            colours[pairs[0]] = pairs[1].tolist()
+            return PartialColouring(tuple(colours.tolist()), k)
+        lines = lines.split("\n")
     return PartialColouring.of(n, _scan_colouring(lines, n, source, k), k)
 
 
 def read_partial_colouring_file(path: str, n: int, k: int) -> PartialColouring:
-    return parse_partial_colouring(read_text(path, ColouringError).split("\n"), n, k, source=path)
+    return parse_partial_colouring(read_text(path, ColouringError), n, k, source=path)
 
 
 def format_colouring(c: Colouring) -> str:
-    return "".join(f"{v + 1} {col}\n" for v, col in enumerate(c.colours))
+    """One line per vertex, formatted by one ``%`` on a repeated template."""
+    fields: list = [None] * (2 * len(c))
+    fields[0::2] = range(1, len(c) + 1)
+    fields[1::2] = c.colours
+    return ("%d %d\n" * len(c)) % tuple(fields)
 
 
 def write_colouring_file(c: Colouring, path_or_file: str | IO[str]) -> None:

@@ -27,8 +27,8 @@ problem line, ``match_lines`` checks the edge lines with one regex
 (``EDGE_LINE``: ``e``, two ASCII digit runs of at most 18 digits, single
 spaces); a file with other whitespace inside its lines, or blank lines among
 them, is checked again with each line's tokens joined by single spaces.  The
-MatrixMarket reader checks its entry lines with the same function, each kind
-with its own regex.  All endpoints are then read in one ``np.fromstring``
+MatrixMarket and colouring readers check their lines with the same function,
+each with its own regex.  All endpoints are then read in one ``np.fromstring``
 call (by ``int()`` below ``BULK_MIN_EDGES`` edge lines, where numpy's fixed
 cost dominates) and the CSR is built by ``Graph.from_edge_list``, which
 checks them.  Every other file (one with comment lines among its edge lines,
@@ -598,8 +598,8 @@ def _problem_line(text: str) -> tuple[int, int, int] | None:
 def match_lines(body: str, line: str) -> str | None:
     """`body` as lines that each match the regex `line` and end with ``\\n``,
     with each run of whitespace inside a line read as one space and blank
-    lines dropped; None if a line does not match.  The graph and the
-    MatrixMarket reader check the lines they read in bulk with it."""
+    lines dropped; None if a line does not match.  The graph, MatrixMarket
+    and colouring readers check the lines they read in bulk with it."""
     if body and body[-1] != "\n":
         body += "\n"  # a last line without a line break
     match = re.compile(f"(?:{line}\n)*").fullmatch  # compiled once, then cached by re
@@ -703,14 +703,13 @@ def read_graph_file(path: str) -> Graph:
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
-    out = []
-    if comment:
-        for line in comment.splitlines():
-            out.append(f"c {line}")
-    out.append(f"p edge {g.n} {g.m}")
+    """The graph file of `g`; the edge lines are formatted by one ``%`` on a
+    repeated template."""
+    head = [f"c {line}\n" for line in comment.splitlines()] if comment else []
+    head.append(f"p edge {g.n} {g.m}\n")
     u, v = g.edge_arrays()
-    out.extend(map("e {} {}".format, (u + 1).tolist(), (v + 1).tolist()))
-    return "\n".join(out) + "\n"
+    ends = np.column_stack((u + 1, v + 1)).ravel().tolist()
+    return "".join(head) + ("e %d %d\n" * g.m) % tuple(ends)
 
 
 def write_graph_file(g: Graph, path_or_file: str | IO[str], comment: str | None = None) -> None:

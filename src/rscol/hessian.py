@@ -13,7 +13,14 @@ cells, not in n²; the dense forms of ``compress`` and ``recover`` convert at
 their boundary and call the same code.  A recovered matrix is written as
 MatrixMarket (coordinate real symmetric, its lower triangle) or as dense CSV,
 one row per line and each cell the ``repr`` of its float64; both writers
-format only the cells whose bits are not all zero.
+format only the cells whose bits are not all zero, and the CSV writer each
+distinct bit pattern once.
+
+Both readers take a whole file in bulk and send any other file to a line
+scanner that names the first bad line: the MatrixMarket reader checks its
+entry lines by regex and parses them with one ``np.fromstring``, and the CSV
+reader counts each line's commas and converts every field with ``float`` in
+one ``np.fromiter`` pass.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -160,8 +168,8 @@ class SeedGrouping:
 def _vertex_order(g: Graph, order: str) -> list[int]:
     if order == "natural":
         return list(range(g.n))
-    if order == "largest_degree_first":
-        return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    if order == "largest_degree_first":  # a stable sort keeps equal degrees in vertex order
+        return np.argsort(-np.diff(np.frombuffer(g.offsets, dtype=np.int64)), kind="stable").tolist()
     raise ValueError(f"unknown order {order!r}")
 
 
@@ -480,17 +488,20 @@ def write_matrix_market(m: CooMatrix, path_or_file: str | IO[str]) -> None:
     matrix whose mirror cells differ in their bits (``-0.0`` against ``0.0``
     or no cell included), which would not read back as written, or that holds
     a value that is not finite, which the reader would reject, raises
-    PatternError."""
+    PatternError.  The entry lines are formatted by one ``%`` on a repeated
+    template."""
     if not _is_symmetric(m.rows, m.cols, m.values.view(np.int64)):
         raise PatternError("matrix is not symmetric")
     keep = (m.rows >= m.cols) & (m.values.view(np.int64) != 0)
     values = m.values[keep]
     if not np.isfinite(values).all():
         raise PatternError("a value that is not finite cannot be written as MatrixMarket")
-    entries = map("{} {} {!r}\n".format, (m.rows[keep] + 1).tolist(), (m.cols[keep] + 1).tolist(),
-                  values.tolist())
+    fields: list = [None] * (3 * len(values))
+    fields[0::3] = (m.rows[keep] + 1).tolist()
+    fields[1::3] = (m.cols[keep] + 1).tolist()
+    fields[2::3] = values.tolist()
     head = f"%%MatrixMarket matrix coordinate real symmetric\n{m.n} {m.n} {len(values)}\n"
-    write_text(head + "".join(entries), path_or_file)
+    write_text(head + ("%d %d %r\n" * len(values)) % tuple(fields), path_or_file)
 
 
 def write_dense_csv(matrix: np.ndarray | CooMatrix, path_or_file: str | IO[str]) -> None:
@@ -499,8 +510,9 @@ def write_dense_csv(matrix: np.ndarray | CooMatrix, path_or_file: str | IO[str])
     The text starts as the all-zero matrix, where every cell takes four
     characters (``0.0,`` or ``0.0`` and the newline).  Only the cells whose
     bits are not all zero are formatted, so ``-0.0`` keeps its sign; each is
-    spliced in at four times its flat index.  A CooMatrix gives these cells
-    from its stored ones, so no dense array is made.
+    spliced in at four times its flat index.  Each distinct bit pattern is
+    formatted once (a symmetric matrix holds most values twice).  A CooMatrix
+    gives these cells from its stored ones, so no dense array is made.
     """
     if isinstance(matrix, CooMatrix):
         shape = matrix.shape
@@ -514,13 +526,15 @@ def write_dense_csv(matrix: np.ndarray | CooMatrix, path_or_file: str | IO[str])
         shape = a.shape
         flat = np.flatnonzero(a.ravel().view(np.int64))
         values = a.ravel()[flat]
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     # a matrix with no rows is written as one empty line
     zeros = (",".join(["0.0"] * shape[1]) + "\n") * shape[0] or "\n"
     starts = 4 * flat
     pieces = [None] * (2 * len(flat) + 1)
     pieces[::2] = [zeros[lo:hi] for lo, hi in zip([0, *(starts + 3).tolist()],
                                                   [*starts.tolist(), len(zeros)])]
-    pieces[1::2] = map(repr, values.tolist())
+    pieces[1::2] = texts[which].tolist()
     # free each stage before the next, so that at most two copies of the text are alive
     del zeros
     text = "".join(pieces)
@@ -528,14 +542,62 @@ def write_dense_csv(matrix: np.ndarray | CooMatrix, path_or_file: str | IO[str])
     write_text(text, path_or_file)
 
 
-def read_dense_csv(path: str) -> np.ndarray:
-    """A field that is not a number (``_`` included, which ``float`` would
-    skip), a value that is not finite (``nan``, ``inf``, ``1e400``), a row whose
-    length differs from the first row's, or bytes that are not UTF-8 raise
-    PatternError with ``path:line``.  A file with no nonblank line reads as a
-    0 x 0 matrix."""
+def parse_dense_csv(text: str | Iterable[str], source: str = "<csv>") -> np.ndarray:
+    """The matrix of a dense CSV file, one row per line; `text` is the whole
+    file or an iterable of its lines.
+
+    A field that is not a number (``_`` included, which ``float`` would
+    skip), a value that is not finite (``nan``, ``inf``, ``1e400``) or a row
+    whose length differs from the first row's raises PatternError with
+    ``source:line``.  Blank lines are skipped, and a file with no nonblank
+    line reads as a 0 x 0 matrix.
+
+    A whole file is read by ``_csv_array``, which reads every field with
+    ``float`` in one pass and checks the row lengths and values in bulk.
+    Every other input, and a file that fails one of its checks, goes to the
+    line scanner, which checks each line in file order and names the first
+    bad one.
+    """
+    if isinstance(text, str):
+        matrix = _csv_array(text)
+        if matrix is not None:
+            return matrix
+        text = text.split("\n")
+    return _scan_csv(text, source)
+
+
+def _csv_array(text: str) -> np.ndarray | None:
+    """The matrix of a file with no ``_`` whose every line holds as many
+    fields as the first, each read by ``float`` to a finite value; None for
+    any other file, a blank line included (its field is empty).
+
+    The fields are those of the lines joined by commas, converted by one
+    ``np.fromiter`` over ``map(float, ...)``: the scanner's own conversion,
+    so the values are the scanner's bit for bit.  (A regex of the decimal
+    grammar followed by one ``np.fromstring`` took longer: on the compressed
+    products of ``hessian-grid`` the regex alone cost a third of the read,
+    and numpy parses a float no faster than ``float``.)
+    """
+    body = text[:-1] if text.endswith("\n") else text
+    if not body or "_" in body:
+        return None
+    lines = body.split("\n")
+    fields = lines[0].count(",") + 1
+    if set(map(str.count, lines, repeat(","))) != {fields - 1}:
+        return None
+    cells = body.replace("\n", ",").split(",")
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
+    return values.reshape(-1, fields) if np.isfinite(values).all() else None
+
+
+def _scan_csv(lines: Iterable[str], source: str) -> np.ndarray:
+    """Check the lines of a dense CSV file one at a time, in file order, and
+    raise at the first bad one."""
     rows: list[list[float]] = []
-    for lineno, line in enumerate(read_text(path, PatternError).split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -543,10 +605,16 @@ def read_dense_csv(path: str) -> np.ndarray:
         except ValueError:
             row = None
         if row is None or "_" in line:  # float() reads 1_0 as 10
-            raise PatternError(f"{path}:{lineno}: non-numeric field")
+            raise PatternError(f"{source}:{lineno}: non-numeric field")
         if not all(map(math.isfinite, row)):
-            raise PatternError(f"{path}:{lineno}: non-finite value")
+            raise PatternError(f"{source}:{lineno}: non-finite value")
         if rows and len(row) != len(rows[0]):
-            raise PatternError(f"{path}:{lineno}: expected {len(rows[0])} fields")
+            raise PatternError(f"{source}:{lineno}: expected {len(rows[0])} fields")
         rows.append(row)
     return np.array(rows) if rows else np.zeros((0, 0))
+
+
+def read_dense_csv(path: str) -> np.ndarray:
+    """``parse_dense_csv`` of a file; bytes that are not UTF-8 also raise
+    PatternError with ``path:line``."""
+    return parse_dense_csv(read_text(path, PatternError), source=path)

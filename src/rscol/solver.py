@@ -250,9 +250,31 @@ def enumerate_k_rs(
     yield from found
 
 
+def _greedy_clique_size(g: Graph) -> int:
+    """The size of a clique of `g`, at most its clique number ω and on small
+    graphs mostly equal to it: the largest clique grown greedily from each
+    vertex, each step adding the candidate (a common neighbour of the clique
+    so far) with the most candidate neighbours, the least such on a tie.  A
+    start whose degree cannot beat the best so far is skipped."""
+    masks = [sum(1 << w for w in row) for row in g.adjacency()]
+    best = 0
+    for v in range(g.n):
+        size, candidates = 1, masks[v]
+        while size + candidates.bit_count() > best:
+            if not candidates:
+                best = size
+                break
+            u = max(_bits(candidates), key=lambda w: (masks[w] & candidates).bit_count())
+            size, candidates = size + 1, candidates & masks[u]
+    return best
+
+
 def _chromatic(g: Graph, decide: Callable[[int], SolveResult],
                verifier: Callable[[Graph, Colouring], bool]) -> int:
-    for k in range(1, g.n + 1):
+    """The least k that `decide` answers YES, checked by `verifier`.  Every
+    proper colouring needs a colour per vertex of a clique, so k starts at
+    ``_greedy_clique_size``."""
+    for k in range(max(_greedy_clique_size(g), 1), g.n + 1):
         result = decide(k)
         if result.status is SolveStatus.BUDGET_EXCEEDED:
             raise BudgetExceededError(f"budget exhausted while deciding k={k}")

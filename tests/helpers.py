@@ -118,6 +118,36 @@ def rs_violations_by_paths(g: Graph, c: Colouring) -> bool:
     return True
 
 
+# -- verifier scan oracles ------------------------------------------------------
+# find_proper_violation and find_rs_violation as they were before the numpy
+# passes: a scan of the edges, and of each row's lower neighbours with a dict
+# of the colours seen in the row.
+
+
+def scan_find_proper_violation(g: Graph, c: Colouring) -> tuple[int, int] | None:
+    _check_domain(g, c)
+    for u, v in g.edges():
+        if c[u] == c[v]:
+            return (u, v)
+    return None
+
+
+def scan_find_rs_violation(g: Graph, c: Colouring) -> tuple[int, ...] | None:
+    _check_domain(g, c)
+    colours = c.colours
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
+    for y in range(g.n):
+        cy = colours[y]
+        seen: dict[int, int] = {}
+        for x in tgt[off[y]:off[y + 1]]:
+            cx = colours[x]
+            if cx < cy:
+                if cx in seen:
+                    return (seen[cx], y, x)
+                seen[cx] = x
+    return scan_find_proper_violation(g, c)
+
+
 # -- star oracles ---------------------------------------------------------------
 # The checks that rscol.colouring.is_star and the star search used before the
 # per-edge rule replaced them.
@@ -1200,6 +1230,14 @@ def repr_dense_csv(matrix: np.ndarray, path_or_file: str | IO[str]) -> None:
     write_text("\n".join(",".join(repr(float(x)) for x in row) for row in a) + "\n", path_or_file)
 
 
+def line_formatted_matrix_market(rows, cols, values, n: int) -> str:
+    """The MatrixMarket text ``write_matrix_market`` gave for the lower-triangle
+    entries it keeps, one ``str.format`` call per entry line."""
+    entries = map("{} {} {!r}\n".format, (np.asarray(rows) + 1).tolist(),
+                  (np.asarray(cols) + 1).tolist(), np.asarray(values, dtype=float).tolist())
+    return f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(values)}\n" + "".join(entries)
+
+
 # -- stepwise triangle elimination oracle ---------------------------------------------
 # The paper's elimination loop as it was before the one-pass reduction: one
 # triangle at a time, rebuilding the graph and rescanning every triangle after
@@ -1439,3 +1477,8 @@ def line_formatted_graph(g: Graph, comment: str | None = None) -> str:
     for u, v in g.edges():
         out.append(f"e {u + 1} {v + 1}")
     return "\n".join(out) + "\n"
+
+
+def line_formatted_colouring(c: Colouring) -> str:
+    """``format_colouring`` as it was: one f-string per vertex."""
+    return "".join(f"{v + 1} {col}\n" for v, col in enumerate(c.colours))

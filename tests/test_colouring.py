@@ -1,17 +1,22 @@
 import io
 import itertools
+import random
+import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from rscol import colouring
 from rscol.colouring import (
     Colouring,
     ColouringError,
     PartialColouring,
     check_properties_P,
+    find_proper_violation,
     find_rs_violation,
     format_colouring,
     is_distance_two,
@@ -25,6 +30,7 @@ from rscol.colouring import (
 )
 from rscol.constructions import CoBipartitePartition, star_to_ordered_cobipartite
 from rscol.graph import Graph, cycle_graph, path_graph, star_graph
+from rscol.hessian import greedy_rs_colouring
 from rscol.solver import SolveStatus, decide_k_rs, enumerate_k_rs
 
 
@@ -67,6 +73,71 @@ class TestRs:
             k = rng.randint(1, 4)
             c = Colouring.of([rng.randrange(k) for _ in range(n)], k=k)
             assert is_rs(g, c) == helpers.rs_violations_by_paths(g, c)
+
+
+# -- the numpy verifiers against the scans they replaced ----------------------------
+
+
+@st.composite
+def coloured_graphs(draw):
+    """A graph on 0 to 300 vertices, isolated vertices included, and a colouring
+    of it: one colour with k = 1, a few colours, a few colours with gaps and
+    values up to 3n + 9 (so past n), colours beyond int64, or a greedy rs
+    colouring with one vertex recoloured; k may exceed the largest colour."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(2, 300)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    degree = draw(st.sampled_from([0.0, 1.0, 3.0, 8.0]))
+    g = helpers.random_graph(n, min(1.0, degree / max(n - 1, 1)), rng)
+    kind = draw(st.sampled_from(["one", "few", "gaps", "huge", "rs"]))
+    if kind == "one":
+        colours = [0] * n
+    elif kind == "rs":
+        colours = list(greedy_rs_colouring(g).colours)
+        if n and rng.random() < 0.7:
+            colours[rng.randrange(n)] = rng.randrange(max(colours) + 2)
+    else:
+        palette = {
+            "few": lambda: list(range(rng.randint(1, 6))),
+            "gaps": lambda: rng.sample(range(3 * n + 10), rng.randint(1, 8)),
+            "huge": lambda: [rng.randrange(2**70) for _ in range(rng.randint(1, 5))],
+        }[kind]()
+        colours = [rng.choice(palette) for _ in range(n)]
+    k = max(colours, default=0) + 1 + draw(st.sampled_from([0, 0, 1, 7]))
+    return g, Colouring.of(colours, k)
+
+
+class TestVerifiersAgainstScans:
+    @settings(max_examples=300, deadline=None)
+    @given(coloured_graphs())
+    @example((Graph.from_edge_list(0, []), Colouring.of([], k=0)))
+    @example((Graph.from_edge_list(4, []), Colouring.of([0, 0, 0, 0], k=1)))
+    @example((Graph.from_edge_list(4, [(1, 2)]), Colouring.of([3, 0, 0, 9], k=10)))
+    @example((star_graph(3), Colouring.of([2**64, 0, 2**70, 0])))
+    # colours past n: the keys 0·4 + 5 and 1·4 + 1 of two rows must not meet
+    @example((Graph.from_edge_list(4, [(0, 2), (1, 3)]), Colouring.of([10, 10, 5, 1])))
+    def test_same_witness_as_the_scans(self, graph_and_colouring):
+        g, c = graph_and_colouring
+        witness = find_rs_violation(g, c)
+        assert witness == helpers.scan_find_rs_violation(g, c)
+        assert find_proper_violation(g, c) == helpers.scan_find_proper_violation(g, c)
+        assert is_rs(g, c) == (witness is None)
+        assert is_proper(g, c) == (find_proper_violation(g, c) is None)
+        assert witness is None or all(type(v) is int for v in witness)
+
+    def test_first_repeat_in_row_order_with_its_first_arc(self):
+        # rows 2 and 3 both repeat; row 2's middle comes first, and its colour 0 pair
+        # (0, 1) is met before its colour 1 pair (4, 5) and names its first arc, 0
+        g = Graph.from_edge_list(7, [(2, 0), (2, 1), (2, 4), (2, 5), (2, 6), (3, 0), (3, 1)])
+        c = Colouring.of([0, 0, 3, 2, 1, 1, 0])
+        assert find_rs_violation(g, c) == (0, 2, 1) == helpers.scan_find_rs_violation(g, c)
+        # in one row, colour 1 repeats at the third arc before colour 0 does at the fourth
+        g = star_graph(4)
+        c = Colouring.of([2, 0, 1, 1, 0])
+        assert find_rs_violation(g, c) == (2, 0, 3) == helpers.scan_find_rs_violation(g, c)
+
+    def test_domain_mismatch(self):
+        with pytest.raises(ColouringError):
+            find_rs_violation(path_graph(3), Colouring.of([0, 1], k=2))
 
 
 class TestStar:
@@ -331,3 +402,72 @@ class TestFileFormat:
             parse_partial_colouring(io.StringIO("1 0\n2 -1\n"), 2, 3, "f")
         with pytest.raises(ColouringError, match=r"^pre.col:2: colour 5 outside 0..2$"):
             parse_partial_colouring(io.StringIO("1 0\n2 5\n"), 2, 3, "pre.col")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=30))
+    def test_format_as_one_f_string_per_line(self, colours):
+        c = Colouring.of(colours)
+        assert format_colouring(c) == helpers.line_formatted_colouring(c)
+
+    def test_format_huge_colour(self):
+        c = Colouring.of([2**70, 0])
+        assert format_colouring(c) == helpers.line_formatted_colouring(c) == f"1 {2**70}\n2 0\n"
+
+
+def not_scanned():
+    """The line scanner replaced by a failure, so a parse must take the whole-file path."""
+    return mock.patch.object(colouring, "_scan_colouring",
+                             side_effect=AssertionError("the line scanner ran"))
+
+
+LINE_SPELLINGS = st.sampled_from(["{} {}", "{} {}", "0{} {}", "{}\t{}", " {}  {} ", "{} 00{}"])
+
+
+class TestWholeFileReader:
+    """A whole file takes the numpy path; the same lines given one by one take the
+    line scanner, and both read the same colouring."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=40), st.randoms(use_true_random=False),
+           LINE_SPELLINGS, st.sampled_from(["", "\n", "\n\n"]))
+    def test_full_colouring_in_any_order(self, colours, rnd, spelling, end):
+        lines = [spelling.format(v + 1, col) for v, col in enumerate(colours)]
+        rnd.shuffle(lines)
+        text = "\n".join(lines) + end
+        with not_scanned():
+            whole = parse_colouring(text, len(colours))
+        assert whole == Colouring.of(colours) == parse_colouring(text.split("\n"), len(colours))
+        assert all(type(col) is int for col in whole.colours)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 30), st.integers(1, 6), st.data())
+    def test_partial_colouring_in_any_order(self, n, k, data):
+        assigned = data.draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.integers(0, k - 1),
+                                             max_size=n))
+        lines = [f"{v + 1} {col}" for v, col in assigned.items()]
+        text = "\n".join(lines) + "\n"
+        with not_scanned():
+            whole = parse_partial_colouring(text, n, k)
+        assert whole == PartialColouring.of(n, assigned, k)
+        assert whole == parse_partial_colouring(text.split("\n"), n, k)
+
+    @pytest.mark.parametrize("text, error", [
+        ("1 0\n2 1\nc note\n", None),
+        ("1 0\n2 1 0\n", "f:2: expected '<vertex> <colour>'"),
+        ("2 1\n3 0\n", "f:2: vertex 3 outside 1..2"),
+        ("2 1\n2 0\n", "f:2: vertex 2 coloured twice"),
+        ("2 1\n", "f: vertices without colour: [1]"),
+        ("1 0\n2 1_0\n", None),
+        ("1 0\n2 99999999999999999999\n", None),
+        ("1 0\n+2 1\n", None),
+    ])
+    def test_other_files_go_to_the_scanner(self, text, error):
+        if error is None:
+            assert parse_colouring(text, 2, "f") == parse_colouring(text.split("\n"), 2, "f")
+        else:
+            with pytest.raises(ColouringError, match=f"^{re.escape(error)}$"):
+                parse_colouring(text, 2, "f")
+
+    def test_partial_budget_goes_to_the_scanner(self):
+        with pytest.raises(ColouringError, match=r"^f:3: colour 3 outside 0..2$"):
+            parse_partial_colouring("1 0\n2 2\n3 3\n", 4, 3, "f")

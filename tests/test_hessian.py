@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ class TestGreedy:
         c = greedy_rs_colouring(star_graph(4), "largest_degree_first")
         assert c.k == 2
         assert c[0] == 0
+
+    def test_largest_degree_first_breaks_ties_by_vertex(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            g = helpers.random_graph(rng.randint(0, 25), rng.random(), rng)
+            assert hessian._vertex_order(g, "largest_degree_first") == sorted(
+                range(g.n), key=lambda v: (-g.degree(v), v))
 
     def test_edgeless(self):
         c = greedy_rs_colouring(Graph.from_edge_list(4, []))
@@ -869,6 +877,18 @@ class TestMatrixMarketWriter:
         assert np.array_equal(back.cols, m.cols[written])
         assert np.array_equal(bits(back.values), bits(m.values[written]))
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(patterned_matrices())
+    def test_same_text_as_one_format_per_line(self, case):
+        n, pairs, _, rnd = case
+        m = symmetric_coo(n, pairs, rnd)
+        out = io.StringIO()
+        write_matrix_market(m, out)
+        keep = (m.rows >= m.cols) & (bits(m.values) != 0)
+        assert out.getvalue() == helpers.line_formatted_matrix_market(
+            m.rows[keep], m.cols[keep], m.values[keep], n)
+
     def test_lower_triangle_repr_per_cell(self):
         m = CooMatrix(2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([-0.0, 0.1, 0.1, 0.0]))
         out = io.StringIO()
@@ -998,6 +1018,30 @@ class TestDenseCsvWriter:
         assert back.shape == a.shape
         assert np.array_equal(back.view(np.int64), a.view(np.int64))
 
+    @WRITER
+    @given(patterned_matrices())
+    def test_coo_same_text_as_repr_per_cell(self, case):
+        # stored +0.0 and -0.0 cells, subnormals, and each value in two mirror cells
+        n, pairs, _, rnd = case
+        m = symmetric_coo(n, pairs, rnd)
+        out = io.StringIO()
+        write_dense_csv(m, out)
+        assert out.getvalue() == oracle_csv(m.toarray())
+
+    def test_each_distinct_value_formatted_once(self):
+        a = np.array([[0.1, -0.0, 0.1], [5e-324, 0.1, -0.0], [0.0, 5e-324, 2.0]])
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return repr(x)
+
+        out = io.StringIO()
+        with mock.patch.object(hessian, "repr", counted, create=True):
+            write_dense_csv(a, out)
+        assert out.getvalue() == "0.1,-0.0,0.1\n5e-324,0.1,-0.0\n0.0,5e-324,2.0\n" == oracle_csv(a)
+        assert sorted(map(bits, calls)) == sorted(map(bits, [0.1, -0.0, 5e-324, 2.0]))
+
     def test_special_cells_spelled_by_repr(self):
         out = io.StringIO()
         write_dense_csv(np.array([[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324]]), out)
@@ -1116,6 +1160,37 @@ class TestDenseCsvReader:
         path.write_text(text)
         got = read_dense_csv(str(path))
         assert got.shape == (0, 0) and got.dtype == np.float64
+
+    @WRITER
+    @given(csv_matrices())
+    def test_whole_file_path_reads_what_the_writer_wrote(self, tmp_path, matrix):
+        a = np.asarray(matrix, dtype=float)
+        a = np.where(np.isfinite(a), a, 1.5)
+        path = str(tmp_path / "m.csv")
+        write_dense_csv(a, path)
+        with open(path) as fh:
+            text = fh.read()
+        if 0 in a.shape:
+            return  # no nonblank line: the scanner reads it as 0 x 0
+        with mock.patch.object(hessian, "_scan_csv", side_effect=AssertionError("the line scanner ran")):
+            back = read_dense_csv(path)
+        assert np.array_equal(bits(back), bits(a))
+        assert np.array_equal(bits(hessian.parse_dense_csv(text.split("\n"))), bits(a))
+
+    @pytest.mark.parametrize("text", ["1,2\n\n3,4\n", "1,2\n3\n", "1\n2,3\n", "1,2\n3,4,5\n6\n",
+                                      "nan,1\n", "1e400\n", "1_0\n", "1,2,\n"])
+    def test_other_files_go_to_the_scanner(self, tmp_path, text):
+        path = tmp_path / "b.csv"
+        path.write_text(text)
+        with mock.patch.object(hessian, "_scan_csv", side_effect=RuntimeError("scanned")):
+            with pytest.raises(RuntimeError, match="scanned"):
+                read_dense_csv(str(path))
+
+    def test_ragged_rows_named_even_when_the_field_count_balances(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("1,2\n3,4,5\n6\n")
+        with pytest.raises(PatternError, match=rf"^{re.escape(str(path))}:2: expected 2 fields$"):
+            read_dense_csv(str(path))
 
     def test_text_mode_line_breaks(self, tmp_path):
         path = tmp_path / "b.csv"

@@ -136,6 +136,34 @@ class TestChromaticNumbers:
             assert ordered_chromatic_number(g) == n
             assert rs_chromatic_number(g) == n
 
+    def test_greedy_clique_is_a_clique_no_larger_than_omega(self, rng):
+        import networkx as nx
+
+        for _ in range(300):
+            g = helpers.random_graph(rng.randint(0, 14), rng.random(), rng)
+            nxg = nx.Graph(list(g.edges()))
+            nxg.add_nodes_from(range(g.n))
+            omega = max((len(c) for c in nx.find_cliques(nxg)), default=0)
+            assert min(g.n, 1) <= solver._greedy_clique_size(g) <= omega
+        assert solver._greedy_clique_size(complete_graph(6)) == 6
+        assert solver._greedy_clique_size(attach_pendants(complete_graph(4), 0, 3)) == 4
+
+    def test_clique_floor_changes_no_answer(self, rng, monkeypatch):
+        graphs = [helpers.random_graph(rng.randint(0, 7), rng.random(), rng) for _ in range(40)]
+        graphs += [hypercube_graph(3), cycle_graph(5), complete_graph(4), Graph.from_edge_list(0, [])]
+        with_floor = [(rs_chromatic_number(g), star_chromatic_number(g)) for g in graphs]
+        monkeypatch.setattr(solver, "_greedy_clique_size", lambda g: 0)
+        assert with_floor == [(rs_chromatic_number(g), star_chromatic_number(g)) for g in graphs]
+
+    def test_no_decision_below_the_clique_floor(self, monkeypatch):
+        tried = []
+        decide = solver.decide_k_rs
+        monkeypatch.setattr(solver, "decide_k_rs",
+                            lambda g, k, budget: tried.append(k) or decide(g, k, budget=budget))
+        # a triangle with one pendant per corner: omega 3, chi_rs 4
+        g = Graph.from_edge_list(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+        assert rs_chromatic_number(g) == 4 and tried == [3, 4]
+
     def test_star_matches_brute_force(self, rng):
         for _ in range(20):
             g = helpers.random_graph(rng.randint(1, 5), 0.5, rng)
