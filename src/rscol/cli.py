@@ -110,7 +110,7 @@ def _cmd_solve(args) -> int:
                 pre = colouring.read_partial_colouring_file(
                     args.precolouring, g.n, args.colours
                 )
-            result = _decide_rs(g, args.colours, budget, args.threads, pre)
+            result = solver.decide_k_rs(g, args.colours, pre=pre, budget=budget)
             if args.witness_out and result.witness is not None:  # only a YES has one
                 colouring.write_colouring_file(result.witness, args.witness_out)
             # the SolveStatus member names are the RESULT tokens
@@ -128,35 +128,6 @@ def _cmd_solve(args) -> int:
         raise _UsageError(f"unknown task {args.task}")
     except solver.BudgetExceededError as exc:
         return _emit("BUDGET_EXCEEDED", str(exc))
-
-
-def _decide_rs(g, k, budget, threads, pre=None) -> solver.SolveResult:
-    if threads <= 1 or g.n == 0 or k < 1:
-        return solver.decide_k_rs(g, k, pre=pre, budget=budget)
-    # split the root vertex's colour choices across worker processes and take
-    # their answers in root-colour order: the first YES stands, with its witness,
-    # and the searches after it are stopped, so nodes counts the searches up to it
-    import multiprocessing
-
-    fixed = {} if pre is None else {v: c for v, c in enumerate(pre.colours) if c is not None}
-    free = [v for v in range(g.n) if v not in fixed]
-    if not free:
-        return solver.decide_k_rs(g, k, pre=pre, budget=budget)
-    root = max(free, key=g.degree)
-    pres = [colouring.PartialColouring.of(g.n, {**fixed, root: col}, k) for col in range(k)]
-    search = functools.partial(solver.decide_k_rs, g, k, budget=budget)
-    nodes = 0
-    exceeded = False
-    with multiprocessing.Pool(min(threads, k)) as pool:  # leaving the block stops the workers
-        for r in pool.imap(search, pres):
-            nodes += r.nodes
-            if r.status is solver.SolveStatus.YES:
-                if not colouring.is_rs(g, r.witness):
-                    raise RuntimeError("a decide-rs worker returned a colouring that is not rs")
-                return solver.SolveResult(solver.SolveStatus.YES, witness=r.witness, nodes=nodes)
-            exceeded |= r.status is solver.SolveStatus.BUDGET_EXCEEDED
-    status = solver.SolveStatus.BUDGET_EXCEEDED if exceeded else solver.SolveStatus.NO
-    return solver.SolveResult(status, nodes=nodes)
 
 
 def _cmd_tree3rs(args) -> int:
@@ -289,7 +260,9 @@ def build_parser() -> _Parser:
     p.add_argument("-k", "--colours", type=int)
     p.add_argument("--precolouring")
     p.add_argument("--witness-out")
-    p.add_argument("--threads", type=int, default=1)
+    # kept so that existing command lines still parse: every solve is one search
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--dot")
     _add_budget_flags(p)
     p.set_defaults(handler=_cmd_solve)

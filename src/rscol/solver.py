@@ -39,7 +39,8 @@ class SolveBudget:
     time_limit: float = 120.0  # seconds
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.time_limit <= 0:
+        # not (x > 0) also refuses NaN, which compares False both ways
+        if not (self.max_nodes > 0 and self.time_limit > 0):
             raise ValueError("budget limits must be positive")
 
 

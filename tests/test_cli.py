@@ -3,15 +3,14 @@ import numpy as np
 import pytest
 
 import helpers
-from rscol import cli, solver
+from rscol import cli
 from rscol.colouring import (
     Colouring,
-    PartialColouring,
     is_rs,
     parse_colouring,
     write_colouring_file,
 )
-from rscol.graph import Graph, cycle_graph, path_graph, star_graph, write_graph_file
+from rscol.graph import Graph, path_graph, read_graph_file, star_graph, write_graph_file
 from rscol.hessian import read_dense_csv, read_matrix_market
 
 
@@ -138,49 +137,44 @@ class TestSolve:
         )
         assert (code2, token2) == (1, "NO")
 
-    def test_threads_keep_a_parallel_yes(self, tmp_path, capsys):
-        # 50 nodes are too few for the sequential solve, but enough for the
-        # worker that colours the root vertex 2, so the split must answer YES
-        edges = [
+    @pytest.mark.parametrize("name, argv, token, nodes", [
+        ("dart.gr", ["-k", "3"], "YES", 5),
+        ("worked.gr", ["-k", "3"], "NO", 8),
+        # budgets below the search's count at which a split over the root's colours,
+        # each part with the whole budget, would answer YES
+        ("g16.gr", ["-k", "4", "--budget-nodes", "50"], "BUDGET_EXCEEDED", 51),
+        ("g16.gr", ["-k", "4", "--budget-nodes", "83"], "BUDGET_EXCEEDED", 84),
+        ("g16.gr", ["-k", "4", "--budget-nodes", "84"], "YES", 84),
+        ("star3.gr", ["-k", "3", "--precolouring", "pre.col"], "YES", 4),
+    ], ids=["dart-yes", "worked-no", "g16-budget-50", "g16-budget-83", "g16-budget-84",
+            "star3-precoloured"])
+    def test_threads_change_no_output(self, workdir, monkeypatch, capsys, name, argv, token,
+                                      nodes):
+        monkeypatch.chdir(workdir)
+        g16 = Graph.from_edge_list(16, [
             (0, 7), (0, 12), (1, 3), (1, 8), (1, 15), (2, 5), (2, 12), (2, 15), (4, 5),
             (4, 11), (4, 13), (4, 14), (5, 12), (6, 8), (6, 12), (7, 13), (9, 14),
             (10, 13), (10, 14), (11, 15),
-        ]
-        g = Graph.from_edge_list(16, edges)
-        write_graph_file(g, str(tmp_path / "g16.gr"))
-        witness = tmp_path / "w.col"
-        argv = ["solve", "--task", "decide-rs", "-g", tmp_path / "g16.gr", "-k", "4",
-                "--budget-nodes", "50"]
-        assert run_cli(capsys, *argv)[:2] == (3, "BUDGET_EXCEEDED")
-        code, token, _ = run_cli(capsys, *argv, "--threads", "2", "--witness-out", witness)
-        assert (code, token) == (0, "YES")
-        with open(witness) as fh:
-            c = parse_colouring(fh, 16)
-        assert is_rs(g, Colouring.of(c.colours, k=4))
-
-    def test_threads_stop_at_the_first_yes(self, tmp_path, capsys):
-        # on the 7-cycle the root (vertex 0) coloured 0 already answers YES, so the
-        # searches for colours 1 and 2 are not waited for and their nodes not counted
-        g = cycle_graph(7)
-        write_graph_file(g, str(tmp_path / "c7.gr"))
-        first = solver.decide_k_rs(g, 3, pre=PartialColouring.of(7, {0: 0}, 3))
-        assert first.status is solver.SolveStatus.YES
-        witness = tmp_path / "w.col"
-        code, token, out = run_cli(capsys, "solve", "--task", "decide-rs", "-g", tmp_path / "c7.gr",
-                                   "-k", "3", "--threads", "2", "--witness-out", witness)
-        assert (code, token) == (0, "YES")
-        assert out.splitlines()[1] == f"nodes: {first.nodes}"
-        with open(witness) as fh:
-            assert parse_colouring(fh, 7).colours == first.witness.colours
-
-    def test_threads_sum_nodes_up_to_the_first_yes(self):
-        # leaf 1 precoloured 0: the centre coloured 0 is refuted, coloured 1 answers YES
-        g = star_graph(3)
-        runs = [solver.decide_k_rs(g, 3, pre=PartialColouring.of(4, {1: 0, 0: c}, 3)) for c in (0, 1)]
-        assert [r.status for r in runs] == [solver.SolveStatus.NO, solver.SolveStatus.YES]
-        result = cli._decide_rs(g, 3, solver.SolveBudget(), 2, PartialColouring.of(4, {1: 0}, 3))
-        assert result.status is solver.SolveStatus.YES
-        assert (result.nodes, result.witness) == (runs[0].nodes + runs[1].nodes, runs[1].witness)
+        ])
+        write_graph_file(g16, "g16.gr")
+        write_graph_file(star_graph(3), "star3.gr")
+        (workdir / "pre.col").write_text("2 0\n")  # a leaf of the star coloured 0
+        witness = workdir / "w.col"
+        runs = []
+        for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "4"]):
+            witness.unlink(missing_ok=True)
+            code = cli.run(["solve", "--task", "decide-rs", "-g", name, *argv,
+                            "--witness-out", "w.col", *threads])
+            runs.append((code, capsys.readouterr().out,
+                         witness.read_bytes() if witness.exists() else None))
+        assert runs[1:] == runs[:1] * 3
+        code, out, witness_bytes = runs[0]
+        assert code == cli._EXIT_CODES[token]
+        assert out == f"RESULT: {token}\nnodes: {nodes}\n"
+        assert (witness_bytes is not None) == (token == "YES")
+        if witness_bytes is not None:
+            g = read_graph_file(name)
+            assert is_rs(g, parse_colouring(witness_bytes.decode().splitlines(), g.n))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("k", ["0", "-1"])
@@ -191,6 +185,18 @@ class TestSolve:
             "--threads", threads,
         )
         assert (code, token) == (1, "NO")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--budget-nodes", "0"), ("--budget-secs", "0"), ("--budget-secs", "-1"),
+        ("--budget-secs", "nan"),
+    ])
+    def test_non_positive_budget_is_an_error(self, workdir, capsys, flag, value):
+        code, token, out = run_cli(
+            capsys, "solve", "--task", "decide-rs", "-g", workdir / "dart.gr", "-k", "3",
+            flag, value,
+        )
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1] == "budget limits must be positive"
 
     def test_dot_export_flag(self, workdir, capsys):
         dot = workdir / "dart.dot"

@@ -96,6 +96,14 @@ class TestDecideKRs:
         result = decide_k_rs(g, 4, budget=SolveBudget(max_nodes=3, time_limit=60))
         assert result.status is SolveStatus.BUDGET_EXCEEDED
 
+    @pytest.mark.parametrize("limits", [
+        {"max_nodes": 0}, {"time_limit": 0}, {"time_limit": -1}, {"time_limit": float("nan")},
+    ])
+    def test_budget_refuses_non_positive_limits(self, limits):
+        # NaN compares False against 0 both ways; accepted, it would never stop a search
+        with pytest.raises(ValueError, match="budget limits must be positive"):
+            SolveBudget(**limits)
+
     def test_enumeration_matches_brute_force(self, rng):
         import itertools
 
