@@ -83,9 +83,10 @@ class Graph:
         converts without a cast, so an endpoint that is not an integer within
         int64 (``1.5``, ``2**70``) raises GraphError instead of being
         truncated.  Each edge becomes the keys u*n + v and v*n + u; sorted and
-        without repeats, the keys of vertex u form one contiguous run, found
-        by ``searchsorted``.  Duplicates merge, and the first bad edge in
-        input order is reported.
+        without repeats, the keys of vertex u form one contiguous run.  One
+        ``divmod`` by n splits the keys into rows and targets, and the row
+        starts are the running sum of the row sizes (``bincount``).
+        Duplicates merge, and the first bad edge in input order is reported.
         """
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
@@ -107,9 +108,9 @@ class Graph:
         keys.sort()
         first = np.ones(keys.size, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
-        offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        return Graph(n, _packed(offsets), _packed(keys % n))
+        rows, targets = np.divmod(keys[first], n)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        return Graph(n, _packed(offsets), _packed(targets))
 
     # -- basic queries -----------------------------------------------------
 
@@ -151,8 +152,12 @@ class Graph:
         tgt = self.targets.tolist()
         return [tgt[lo:hi] for lo, hi in pairwise(self.offsets.tolist())]
 
+    def degrees(self) -> np.ndarray:
+        """The degree of every vertex, as an int64 array."""
+        return np.diff(np.frombuffer(self.offsets, dtype=np.int64))
+
     def max_degree(self) -> int:
-        return max((hi - lo for lo, hi in pairwise(self.offsets)), default=0)
+        return int(self.degrees().max()) if self.n else 0
 
     def __eq__(self, other: object) -> bool:
         return (

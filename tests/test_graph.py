@@ -112,6 +112,7 @@ class TestCsrAgainstListOfLists:
         assert list(g.edges()) == oracle.edges()
         assert g.adjacency() == oracle.adj
         assert g.max_degree() == max(map(len, oracle.adj), default=0)
+        assert g.degrees().tolist() == list(map(len, oracle.adj))
         for v in range(n):
             assert g.neighbours(v) == oracle.neighbours(v)
             assert g.degree(v) == oracle.degree(v)

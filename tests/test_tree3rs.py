@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import helpers
 from conftest import requires_full
+from rscol import tree3rs
 from rscol.colouring import PartialColouring
 from rscol.graph import (
     Graph,
@@ -24,6 +25,7 @@ from rscol.solver import SolveStatus, decide_k_rs
 from rscol.tree3rs import (
     BranchClass,
     SubtreeClass,
+    TreeTestResult,
     branch_class_lookup,
     path_3rs_feasible,
     subtree_class_from_state,
@@ -201,6 +203,21 @@ class TestSubtreeClassification:
         assert subtree_class_from_state(-1, 0, 2) is SubtreeClass.II
 
 
+def cycle_edges(first: int, size: int) -> list[tuple[int, int]]:
+    """The edges of a cycle on first .. first + size - 1."""
+    return [(first + i, first + (i + 1) % size) for i in range(size)]
+
+
+def spider_edges(legs: list[int]) -> list[tuple[int, int]]:
+    """The edges of a centre 0 with a path of each length in `legs` hanging
+    from it, on the vertices 1, 2, ... leg by leg."""
+    edges, n = [], 1
+    for length in legs:
+        edges += pairwise([0, *range(n, n + length)])
+        n += length
+    return edges
+
+
 BAD_INPUTS = [
     # m != n - 1 is checked before the root
     (RootedTree(helpers.dart(), helpers.DART_Y), "input graph is not a tree"),
@@ -214,6 +231,22 @@ BAD_INPUTS = [
      "input graph is not a tree"),  # m = n - 1 and no 3-plus vertex, but not a path
     (Graph.from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),
      "input graph is not a tree"),
+    # a tree with a 3-plus vertex and, apart from it, a cycle of degree-2 vertices.
+    # Up to SMALL_TREE vertices the vertex walk runs to the end; past it, the star
+    # is within n // 8 vertices, so the walk still finishes it and counts too few
+    # vertices, while with legs of 400 it gives up and the skeleton counts
+    (Graph.from_edge_list(40, [(0, 1), (0, 2), (0, 3), *cycle_edges(4, 36)]),
+     "input graph is not a tree"),
+    (Graph.from_edge_list(1104, [(0, 1), (0, 2), (0, 3), *cycle_edges(4, 1100)]),
+     "input graph is not a tree"),
+    (Graph.from_edge_list(1204, [*spider_edges([400, 400, 400]), *cycle_edges(1201, 3)]),
+     "input graph is not a tree"),
+    # a cycle through one 3-plus vertex, whose chain leaves it and comes back, and
+    # an isolated vertex; the last has far more than n // 8 vertices on the cycle
+    (Graph.from_edge_list(6, [*cycle_edges(0, 4), (0, 4)]), "input graph is not a tree"),
+    (RootedTree(Graph.from_edge_list(6, [*cycle_edges(0, 4), (0, 4)]), 0),
+     "input graph is not a tree"),
+    (Graph.from_edge_list(1102, [*cycle_edges(0, 1100), (0, 1100)]), "input graph is not a tree"),
 ]
 
 
@@ -341,6 +374,7 @@ class TestTreeTester:
 # -- the int-coded walk against the Enum walk it replaced ------------------------------
 
 DIFFERENTIAL = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+LONG_CHAINS = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def bushy_tree(n: int, rnd: random.Random) -> Graph:
@@ -376,9 +410,70 @@ def subdivided_trees(draw) -> Graph:
         k = rnd.choice(subdivisions)
         edges += pairwise([u, *range(n, n + k), v])
         n += k
+    return relabelled(n, edges, rnd)
+
+
+def relabelled(n: int, edges, rnd: random.Random) -> Graph:
+    """The graph of `edges` on n vertices under a random relabelling."""
     label = list(range(n))
     rnd.shuffle(label)
     return Graph.from_edge_list(n, [(label[u], label[v]) for u, v in edges])
+
+
+LEG = st.one_of(st.integers(1, 12), st.integers(13, 10**4))
+SEEDS = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+@st.composite
+def spiders(draw) -> Graph:
+    """A centre with 3 to 6 legs of 1 to 10^4 vertices; a star when every
+    leg has one."""
+    legs = draw(st.lists(LEG, min_size=3, max_size=6))
+    return relabelled(1 + sum(legs), spider_edges(legs), draw(SEEDS))
+
+
+@st.composite
+def brooms(draw) -> Graph:
+    """A handle of 1 to 10^4 edges with 2 to 6 bristles of 1 to 12 vertices
+    at its far end."""
+    handle = draw(LEG)
+    edges, n = list(pairwise(range(handle + 1))), handle + 1
+    for length in draw(st.lists(st.integers(1, 12), min_size=2, max_size=6)):
+        edges += pairwise([handle, *range(n, n + length)])
+        n += length
+    return relabelled(n, edges, draw(SEEDS))
+
+
+@st.composite
+def caterpillars(draw) -> Graph:
+    """A spine of 1 to 30 vertices, each spine edge subdivided 0 to 12 times
+    and each spine vertex with 0 to 3 hairs of 1 to 12 vertices, and maybe the
+    paper's worked tree hung from a spine vertex by a path of 1 to 2000 edges:
+    trees with many 3-plus vertices that answer NO near or far from a root."""
+    spine = draw(st.integers(1, 30))
+    edges, n = [], spine
+    for i in range(spine - 1):
+        gap = draw(st.integers(0, 12))
+        edges += pairwise([i, *range(n, n + gap), i + 1])
+        n += gap
+    for i in range(spine):
+        for length in draw(st.lists(st.integers(1, 12), max_size=3)):
+            edges += pairwise([i, *range(n, n + length)])
+            n += length
+    hang = draw(st.none() | st.tuples(st.integers(0, spine - 1), st.integers(1, 2000), st.integers(0, 13)))
+    if hang is not None:
+        at, length, to = hang
+        base = n + length - 1  # the worked tree's vertex 0
+        edges += pairwise([at, *range(n, base), base + to])
+        edges += [(base + u, base + v) for u, v in helpers.WORKED_TREE_EDGES]
+        n = base + 14
+    return relabelled(n, edges, draw(SEEDS))
+
+
+CHAIN_FAMILIES = st.one_of(
+    spiders(), brooms(), caterpillars(),
+    st.integers(3, 60).map(star_graph), st.integers(1, 10**4).map(path_graph),
+)
 
 
 def outcome(test, t):
@@ -402,9 +497,60 @@ class TestAgainstEnumWalk:
         rooted = RootedTree(g, root)
         assert outcome(run_tree_test, rooted) == outcome(helpers.enum_walk_test_3rs_tree, rooted)
 
+    @LONG_CHAINS
+    @given(CHAIN_FAMILIES)
+    def test_same_result_from_every_root(self, g):
+        # spiders, brooms and paths with chains of up to 10^4 vertices, and
+        # caterpillars with the worked tree up to 2000 edges away: many are
+        # larger than SMALL_TREE and pass n // FRONT_WALK_SHARE visited
+        # vertices, on YES and on NO
+        assert run_tree_test(g) == helpers.enum_walk_test_3rs_tree(g)
+        for root in np.flatnonzero(g.degrees() >= 3).tolist():
+            rooted = RootedTree(g, root)
+            assert run_tree_test(rooted) == helpers.enum_walk_test_3rs_tree(rooted)
+
     @pytest.mark.parametrize("t, message", BAD_INPUTS)
     def test_same_error_on_bad_input(self, t, message):
         assert outcome(run_tree_test, t) == outcome(helpers.enum_walk_test_3rs_tree, t) == message
+
+
+class TestWalkAndFold:
+    """``test_3rs_tree`` answers from the vertex walk while it has visited at
+    most n // FRONT_WALK_SHARE vertices of a tree larger than SMALL_TREE, and
+    from the skeleton fold after: both give the same whole result from every
+    root, on trees of every size."""
+
+    @DIFFERENTIAL
+    @given(st.one_of(subdivided_trees(), caterpillars()))
+    def test_same_result(self, g):
+        plus = np.flatnonzero(g.degrees() >= 3).tolist()
+        skeleton = tree3rs._skeleton(g, g.degrees())
+        for root in plus[:20]:
+            assert tree3rs._walk(g, root, g.n) == tree3rs._fold(skeleton, root, g.n)
+
+    def test_long_trees_leave_the_walk(self):
+        # a YES tree, and the worked tree hung 2000 edges down the first leg
+        # of a spider: the walk from the centre gives up on both
+        no_tree = Graph.from_edge_list(6015, [
+            *spider_edges([2000, 2000, 2000]), (2000, 6001),
+            *[(6001 + u, 6001 + v) for u, v in helpers.WORKED_TREE_EDGES]])
+        for g in (subdivided_yes_tree(2000, np.random.default_rng(24)), no_tree):
+            root = int(np.argmax(g.degrees() >= 3))
+            assert tree3rs._walk(g, root, g.n // tree3rs.FRONT_WALK_SHARE) is None
+            result = run_tree_test(g)
+            assert result == helpers.enum_walk_test_3rs_tree(g)
+            assert result.colourable == (g is not no_tree)
+
+    def test_early_no_stays_in_the_walk(self):
+        # the worked tree on 0..13, hung from the centre 14 of a long spider
+        # before its legs: from the centre the walk answers after 15 vertices
+        g = Graph.from_edge_list(6015, [
+            *helpers.WORKED_TREE_EDGES, (helpers.WORKED_TREE_ROOT, 14),
+            *[(14 + u, 14 + v) for u, v in spider_edges([2000, 2000, 2000])]])
+        result = tree3rs._walk(g, 14, g.n // tree3rs.FRONT_WALK_SHARE)
+        assert result == TreeTestResult(False, "class_i_subtree", helpers.WORKED_TREE_ROOT, 15)
+        rooted = RootedTree(g, 14)
+        assert run_tree_test(rooted) == result == helpers.enum_walk_test_3rs_tree(rooted)
 
 
 # -- the walk in linear time --------------------------------------------------------------
@@ -426,6 +572,14 @@ def subdivided_yes_tree(n0: int, rng: np.random.Generator) -> Graph:
     return Graph.from_edge_list(n, np.stack((label[us], label[vs]), axis=1))
 
 
+def linear_fit_deviation(points: list[tuple[int, float]]) -> float:
+    """How far the time per vertex strays, as a factor, from the geometric
+    mean of the least and the greatest (acceptance c15's minimax fit)."""
+    rates = [t / n for n, t in points]
+    a = math.sqrt(min(rates) * max(rates))
+    return max(max(rates) / a, a / min(rates))
+
+
 def test_walk_linearity_on_yes_trees():
     # the same minimax fit and bound as acceptance c15, on trees the tester
     # accepts, so the time is the walk over every vertex and not the set-up
@@ -440,7 +594,36 @@ def test_walk_linearity_on_yes_trees():
             best = min(best, time.perf_counter() - start)
         assert result.colourable and result.visited == g.n
         points.append((g.n, best))
-    rates = [t / n for n, t in points]
-    a = math.sqrt(min(rates) * max(rates))
-    deviation = max(max(rates) / a, a / min(rates))
-    assert deviation <= 2.0, points
+    assert linear_fit_deviation(points) <= 2.0, points
+
+
+def long_chain_tree(family: str, n: int, rng: np.random.Generator) -> Graph:
+    """The path on n vertices as ``path_graph`` numbers it, or a spider with
+    three legs of n // 3 vertices, randomly relabelled."""
+    if family == "path":
+        return Graph.from_edge_list(n, np.stack((np.arange(n - 1), np.arange(1, n)), axis=1))
+    leg = n // 3
+    heads = 1 + leg * np.arange(3)
+    inner = np.arange(1, 3 * leg + 1).reshape(3, leg)
+    us = np.concatenate((np.zeros(3, dtype=np.int64), inner[:, :-1].ravel()))
+    vs = np.concatenate((heads, inner[:, 1:].ravel()))
+    label = rng.permutation(3 * leg + 1)
+    return Graph.from_edge_list(3 * leg + 1, np.stack((label[us], label[vs]), axis=1))
+
+
+@pytest.mark.parametrize("family", ["path", "spider"])
+def test_linearity_on_long_chains(family):
+    # the same fit and bound on chains of 3,000 to 1,000,000 vertices: the
+    # numpy rounds that resolve a chain must not grow with its length
+    rng = np.random.default_rng(2424)
+    points = []
+    for target in (10_000, 100_000, 1_000_000):
+        g = long_chain_tree(family, target, rng)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            result = run_tree_test(g)
+            best = min(best, time.perf_counter() - start)
+        assert result.colourable and result.visited == (0 if family == "path" else g.n)
+        points.append((g.n, best))
+    assert linear_fit_deviation(points) <= 2.0, points
