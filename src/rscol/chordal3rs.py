@@ -72,7 +72,7 @@ def eliminate_triangles(g: Graph) -> EliminationTrace:
         trace.final_tree = g
         return trace
     corners = np.array(triangles, dtype=np.int64)
-    low = np.diff(np.frombuffer(g.offsets, dtype=np.int64))[corners] == 2
+    low = g.degrees()[corners] == 2
     type2 = low.any(axis=1)
     if not type2.all():
         trace.type1_triangle = triangles[int(type2.argmin())]

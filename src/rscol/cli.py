@@ -203,7 +203,7 @@ def _cmd_cobip_convert(args) -> int:
     p = constructions.CoBipartitePartition(tuple(sorted(side_a)), tuple(side_b))
     try:
         ordered = constructions.star_to_ordered_cobipartite(g, p, sc)
-    except ValueError as exc:
+    except colouring.ColouringError as exc:  # not a star colouring; a bad partition is an ERROR
         return _emit("INVALID", str(exc))
     colouring.write_colouring_file(ordered, args.out)
     return _emit("OK", f"colours: {ordered.k}")

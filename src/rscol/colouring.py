@@ -1,10 +1,12 @@
 """Colouring values and verifiers: proper, restricted-star, star, ordered, distance-two.
 
 Witness reporting is first-found under sorted vertex/colour order so test
-failures are deterministic.  The proper and rs verifiers are numpy passes over
-the graph's CSR (``graph._csr_arrays``): a monochromatic edge is one compare
-over the arcs, and an rs violation is a repeated key (vertex, colour of a
-lower neighbour) in one stable sort of the arcs into a lower colour.
+failures are deterministic.  The proper, rs, star and distance-two verifiers
+are numpy passes over the graph's CSR (``graph._csr_arrays``): a monochromatic
+edge is one compare over the arcs, and the key x·n + c(y) of an arc x -> y
+repeats in one stable sort exactly when x has two neighbours coloured c(y).
+rs forbids a repeat among the arcs into a lower colour, star an edge whose two
+arcs both repeat, distance-two any repeat.  Ordered, a path rule, is a scan.
 
 Colouring files (``read_colouring_file``, ``read_partial_colouring_file``)
 have one line ``<vertex_1based> <colour_0based>`` per coloured vertex, in any
@@ -131,6 +133,14 @@ def is_proper(g: Graph, c: Colouring) -> bool:
     return find_proper_violation(g, c) is None
 
 
+def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of `keys`, the keys in that order, and for each
+    sorted position after the first whether its key repeats the one before."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    return order, sorted_keys, sorted_keys[1:] == sorted_keys[:-1]
+
+
 def find_rs_violation(g: Graph, c: Colouring) -> tuple[int, ...] | None:
     """First violating path x,y,z with c(y) > c(x) = c(z), else a monochromatic
     edge (u, v) when the colouring is merely improper, else None.
@@ -146,9 +156,8 @@ def find_rs_violation(g: Graph, c: Colouring) -> tuple[int, ...] | None:
     colours = _colour_array(g, c)
     arcs = np.flatnonzero(colours[tgt] < colours[src])
     keys = src[arcs] * g.n + colours[tgt[arcs]]
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    repeats = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    order, sorted_keys, same = _key_runs(keys)
+    repeats = order[1:][same]
     if repeats.size:
         z = repeats.min()
         x = order[np.searchsorted(sorted_keys, keys[z])]
@@ -161,6 +170,20 @@ def is_rs(g: Graph, c: Colouring) -> bool:
     return find_rs_violation(g, c) is None
 
 
+def _repeated_arcs(g: Graph, c: Colouring) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The rows and targets of the arcs x -> y of a proper colouring `c`, and
+    whether their keys x·n + c(y) repeat; None when `c` is not proper."""
+    _check_domain(g, c)
+    _, src, tgt = _csr_arrays(g)
+    colours = _colour_array(g, c)
+    if _mono_edge(src, tgt, colours) is not None:
+        return None
+    order, _, same = _key_runs(src * g.n + colours[tgt])
+    repeated = np.zeros(src.size, dtype=bool)
+    repeated[order[1:][same]] = repeated[order[:-1][same]] = True
+    return src, tgt, repeated
+
+
 def is_star(g: Graph, c: Colouring) -> bool:
     """Proper with no bicoloured P4: every pair of colour classes induces a star forest.
 
@@ -168,26 +191,15 @@ def is_star(g: Graph, c: Colouring) -> bool:
     neighbours of x coloured c(y) and two neighbours of y coloured c(x): take
     a != y among the first two and d != x among the second two; a != d because
     c(a) = c(y) != c(x) = c(d), so a-x-y-d is the path.  A bicoloured cycle
-    contains a bicoloured P4, so one pass over the edges decides it.
+    contains a bicoloured P4, so one pass over the arcs decides it, reading the
+    whole graph even when an early edge fails; y -> x has the CSR key y·n + x.
     """
-    _check_domain(g, c)
-    colours = c.colours
-    off, tgt = g.offsets.tolist(), g.targets.tolist()
-    repeated: list[set[int]] = []  # colours on two or more neighbours of each vertex
-    for v in range(g.n):
-        seen: set[int] = set()
-        twice: set[int] = set()
-        for u in tgt[off[v]:off[v + 1]]:
-            cu = colours[u]
-            if cu in seen:
-                twice.add(cu)
-            seen.add(cu)
-        if colours[v] in seen:
-            return False  # monochromatic edge
-        repeated.append(twice)
-    return not any(
-        colours[y] in repeated[x] and colours[x] in repeated[y] for x, y in g.edges()
-    )
+    arcs = _repeated_arcs(g, c)
+    if arcs is None:
+        return False
+    src, tgt, repeated = arcs
+    reverse = np.searchsorted(src * g.n + tgt, tgt * g.n + src)
+    return not (repeated & repeated[reverse]).any()
 
 
 def is_ordered(g: Graph, c: Colouring) -> bool:
@@ -228,17 +240,11 @@ def is_ordered(g: Graph, c: Colouring) -> bool:
 
 
 def is_distance_two(g: Graph, c: Colouring) -> bool:
-    """Any two vertices at distance <= 2 receive different colours."""
-    _check_domain(g, c)
-    if not is_proper(g, c):
-        return False
-    for v in range(g.n):
-        seen: set[int] = set()
-        for w in g.neighbours(v):
-            if c[w] in seen:
-                return False
-            seen.add(c[w])
-    return True
+    """Any two vertices at distance <= 2 receive different colours: proper, and
+    no vertex has two neighbours of one colour.  The pass reads the whole
+    graph even when an early vertex already fails."""
+    arcs = _repeated_arcs(g, c)
+    return arcs is not None and not arcs[2].any()
 
 
 # -- Observation-2 property checker ------------------------------------------

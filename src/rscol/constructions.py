@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
-from .colouring import Colouring, is_proper, is_rs, is_star
+from .colouring import Colouring, ColouringError, is_proper, is_rs, is_star
 from .graph import (
     Graph,
     GraphError,
@@ -139,11 +139,11 @@ def validate_split_partition(g: Graph, p: SplitPartition) -> None:
     for u in p.clique:
         for v in p.clique:
             if u < v and not g.has_edge(u, v):
-                raise GraphError(f"clique side misses edge ({u},{v})")
+                raise GraphError(f"clique side misses edge ({u + 1},{v + 1})")
     for u in p.independent:
         for w in g.neighbours(u):
             if w in ind:
-                raise GraphError(f"independent side contains edge ({u},{w})")
+                raise GraphError(f"independent side contains edge ({u + 1},{w + 1})")
 
 
 def split_alpha(g: Graph, p: SplitPartition) -> int:
@@ -424,27 +424,23 @@ def validate_cobipartite_partition(g: Graph, p: CoBipartitePartition) -> None:
         for u in side:
             for v in side:
                 if u < v and not g.has_edge(u, v):
-                    raise GraphError(f"side is not a clique: missing ({u},{v})")
+                    raise GraphError(f"side is not a clique: missing ({u + 1},{v + 1})")
 
 
 def star_to_ordered_cobipartite(
     g: Graph, p: CoBipartitePartition, sc: Colouring
 ) -> Colouring:
     """Relabel a star colouring of a co-bipartite graph into an ordered
-    colouring with the same colour count: size-2 classes take the low colours."""
+    colouring with the same colour count: size-2 classes take the low colours.
+    A proper colour class meets each clique side at most once, so every class
+    has one or two vertices; a stable sort keeps each size in colour order."""
     validate_cobipartite_partition(g, p)
     if not is_star(g, sc):
-        raise ValueError("input is not an accepted star colouring")
+        raise ColouringError("input is not an accepted star colouring")
     classes = sc.colour_classes()
-    if any(len(cl) > 2 for cl in classes.values()):
-        raise GraphError("colour class of size > 2: partition sides cannot be cliques")
-    pairs = [i for i, cl in classes.items() if len(cl) == 2]
-    singles = [i for i, cl in classes.items() if len(cl) == 1]
-    relabel: dict[int, int] = {}
-    for new, old in enumerate(pairs + singles):
-        relabel[old] = new
-    colours = [relabel[sc[v]] for v in range(g.n)]
-    return Colouring.of(colours, k=len(pairs) + len(singles))
+    pairs_first = sorted(classes, key=lambda i: len(classes[i]) == 1)
+    relabel = {old: new for new, old in enumerate(pairs_first)}
+    return Colouring.of([relabel[col] for col in sc.colours], k=len(relabel))
 
 
 # -- DIMACS-style positive CNF files ------------------------------------------------

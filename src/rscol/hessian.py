@@ -169,7 +169,7 @@ def _vertex_order(g: Graph, order: str) -> list[int]:
     if order == "natural":
         return list(range(g.n))
     if order == "largest_degree_first":  # a stable sort keeps equal degrees in vertex order
-        return np.argsort(-np.diff(np.frombuffer(g.offsets, dtype=np.int64)), kind="stable").tolist()
+        return np.argsort(-g.degrees(), kind="stable").tolist()
     raise ValueError(f"unknown order {order!r}")
 
 

@@ -270,25 +270,22 @@ def _greedy_clique_size(g: Graph) -> int:
     return best
 
 
-def _chromatic(g: Graph, decide: Callable[[int], SolveResult],
-               verifier: Callable[[Graph, Colouring], bool]) -> int:
-    """The least k that `decide` answers YES, checked by `verifier`.  Every
-    proper colouring needs a colour per vertex of a clique, so k starts at
-    ``_greedy_clique_size``."""
+def _chromatic(g: Graph, decide: Callable[[int], SolveResult]) -> int:
+    """The least k that `decide` answers YES, whose witness ``_run`` has checked.
+    Every proper colouring needs a colour per vertex of a clique, so k starts
+    at ``_greedy_clique_size``."""
     for k in range(max(_greedy_clique_size(g), 1), g.n + 1):
         result = decide(k)
         if result.status is SolveStatus.BUDGET_EXCEEDED:
             raise BudgetExceededError(f"budget exhausted while deciding k={k}")
         if result.status is SolveStatus.YES:
-            if result.witness is None or not verifier(g, result.witness):
-                raise RuntimeError(f"decision at k={k} returned YES without a valid witness")
             return k
     return g.n
 
 
 def rs_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:
     """Least k such that g is k-rs colourable (k = n always works)."""
-    return _chromatic(g, lambda k: decide_k_rs(g, k, budget=budget), is_rs)
+    return _chromatic(g, lambda k: decide_k_rs(g, k, budget=budget))
 
 
 def decide_k_star(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> SolveResult:
@@ -299,7 +296,7 @@ def decide_k_star(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> Sol
 
 
 def star_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:
-    return _chromatic(g, lambda k: decide_k_star(g, k, budget=budget), is_star)
+    return _chromatic(g, lambda k: decide_k_star(g, k, budget=budget))
 
 
 # -- ordered colouring ----------------------------------------------------------

@@ -148,6 +148,45 @@ def scan_find_rs_violation(g: Graph, c: Colouring) -> tuple[int, ...] | None:
     return scan_find_proper_violation(g, c)
 
 
+# is_star and is_distance_two as they were before the numpy passes: a scan of
+# each row with sets of the colours seen once and twice, stopping at the first
+# failure.
+
+
+def scan_is_star(g: Graph, c: Colouring) -> bool:
+    _check_domain(g, c)
+    colours = c.colours
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
+    repeated: list[set[int]] = []  # colours on two or more neighbours of each vertex
+    for v in range(g.n):
+        seen: set[int] = set()
+        twice: set[int] = set()
+        for u in tgt[off[v]:off[v + 1]]:
+            cu = colours[u]
+            if cu in seen:
+                twice.add(cu)
+            seen.add(cu)
+        if colours[v] in seen:
+            return False  # monochromatic edge
+        repeated.append(twice)
+    return not any(
+        colours[y] in repeated[x] and colours[x] in repeated[y] for x, y in g.edges()
+    )
+
+
+def scan_is_distance_two(g: Graph, c: Colouring) -> bool:
+    _check_domain(g, c)
+    if scan_find_proper_violation(g, c) is not None:
+        return False
+    for v in range(g.n):
+        seen: set[int] = set()
+        for w in g.neighbours(v):
+            if c[w] in seen:
+                return False
+            seen.add(c[w])
+    return True
+
+
 # -- star oracles ---------------------------------------------------------------
 # The checks that rscol.colouring.is_star and the star search used before the
 # per-edge rule replaced them.

@@ -378,6 +378,37 @@ class TestGenerators:
         )
         assert (code, token) == (0, "OK")
 
+    # the path 1-2-3-4: {1,3} is no clique, so neither split side is
+    def test_split_chi_bad_clique_is_an_input_error(self, tmp_path, capsys):
+        write_graph_file(path_graph(4), str(tmp_path / "p4.gr"))
+        code, token, out = run_cli(capsys, "split-chi", "-g", tmp_path / "p4.gr", "--clique", "1,3")
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1] == "clique side misses edge (1,3)"
+
+    def test_cobip_convert_bad_partition_is_an_input_error(self, tmp_path, capsys):
+        write_graph_file(path_graph(4), str(tmp_path / "p4.gr"))
+        write_colouring_file(Colouring.of([0, 1, 2, 3]), str(tmp_path / "p4.col"))
+        code, token, out = run_cli(
+            capsys, "cobip-convert", "-g", tmp_path / "p4.gr", "-c", tmp_path / "p4.col",
+            "--a", "1,3", "-o", tmp_path / "out.col",
+        )
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1] == "side is not a clique: missing (1,3)"
+        assert not (tmp_path / "out.col").exists()
+
+    def test_cobip_convert_non_star_colouring_is_invalid(self, tmp_path, capsys):
+        # the 4-cycle 1-2-3-4 splits into the cliques {1,2} and {3,4}; 0,1,0,1 has a bicoloured P4
+        from rscol.graph import cycle_graph
+
+        write_graph_file(cycle_graph(4), str(tmp_path / "c4.gr"))
+        write_colouring_file(Colouring.of([0, 1, 0, 1]), str(tmp_path / "c4.col"))
+        code, token, out = run_cli(
+            capsys, "cobip-convert", "-g", tmp_path / "c4.gr", "-c", tmp_path / "c4.col",
+            "--a", "1,2", "-o", tmp_path / "out.col",
+        )
+        assert (code, token) == (1, "INVALID")
+        assert out.splitlines()[1] == "input is not an accepted star colouring"
+
 
 class TestHessianCommands:
     def test_compress_then_recover_roundtrip(self, workdir, capsys):

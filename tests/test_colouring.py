@@ -139,6 +139,32 @@ class TestVerifiersAgainstScans:
             find_rs_violation(path_graph(3), Colouring.of([0, 1], k=2))
 
 
+class TestStarAndDistanceTwoAgainstScans:
+    @settings(max_examples=300, deadline=None)
+    @given(coloured_graphs())
+    @example((cycle_graph(4), Colouring.of([0, 1, 0, 1])))
+    @example((star_graph(3), Colouring.of([0, 1, 1, 2])))
+    @example((Graph.from_edge_list(0, []), Colouring.of([], k=0)))
+    def test_same_answer_as_the_scans(self, graph_and_colouring):
+        g, c = graph_and_colouring
+        assert is_star(g, c) == helpers.scan_is_star(g, c) == helpers.class_pair_is_star(g, c)
+        assert is_distance_two(g, c) == helpers.scan_is_distance_two(g, c)
+
+    @pytest.mark.parametrize("g, colours, star, distance_two", [
+        (cycle_graph(4), [0, 1, 0, 1], False, False),
+        (cycle_graph(4), [0, 1, 0, 2], True, False),
+        (star_graph(3), [0, 1, 1, 2], True, False),  # two leaves share colour 1
+        (star_graph(3), [0, 1, 2, 3], True, True),
+        (path_graph(2), [0, 0], False, False),
+        (Graph.from_edge_list(0, []), [], True, True),
+    ], ids=["c4-alternating", "c4-three-colours", "star-shared-leaves", "star-distinct",
+            "monochromatic-edge", "empty"])
+    def test_examples(self, g, colours, star, distance_two):
+        c = Colouring.of(colours)
+        assert (is_star(g, c), is_distance_two(g, c)) == (star, distance_two)
+        assert (helpers.scan_is_star(g, c), helpers.scan_is_distance_two(g, c)) == (star, distance_two)
+
+
 class TestStar:
     def test_c4_alternating_rejected(self):
         assert not is_star(cycle_graph(4), Colouring.of([0, 1, 0, 1], k=2))

@@ -382,6 +382,20 @@ def test_invalid_witness_raises_without_assert(monkeypatch, module, verifier, so
         solve()
 
 
+@pytest.mark.parametrize("verifier, chromatic_number, g, answer", [
+    ("is_rs", rs_chromatic_number, hypercube_graph(3), 4),
+    ("is_star", star_chromatic_number, cycle_graph(4), 3),
+    ("is_rs", rs_chromatic_number, cycle_graph(5), 4),  # k = 2 and 3 answer NO first
+])
+def test_each_chromatic_answer_verified_once(monkeypatch, verifier, chromatic_number, g, answer):
+    # the search checks its witness; the chromatic loop does not check it again
+    calls = []
+    real = getattr(solver, verifier)
+    monkeypatch.setattr(f"rscol.solver.{verifier}", lambda g, c: calls.append(c) or real(g, c))
+    assert chromatic_number(g) == answer
+    assert len(calls) == 1
+
+
 class TestMaxIndependentSet:
     def test_c5(self):
         assert len(max_independent_set(cycle_graph(5))) == 2
