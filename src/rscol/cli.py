@@ -105,6 +105,8 @@ def _cmd_solve(args) -> int:
         if args.task == "decide-rs":
             if args.colours is None:
                 raise _UsageError("decide-rs needs -k")
+            if args.colours < 0:
+                raise _UsageError(f"-k must be nonnegative, got {args.colours}")
             pre = None
             if args.precolouring:
                 pre = colouring.read_partial_colouring_file(

@@ -26,7 +26,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, VertexId, _csr_arrays, match_lines, read_text, write_text
+from .graph import Graph, VertexId, _csr_arrays, match_lines, read_int, read_text, write_text
 
 
 class ColouringError(ValueError):
@@ -386,7 +386,7 @@ def _scan_colouring(lines: Iterable[str], n: int, source: str,
         if len(parts) != 2:
             raise ColouringError(f"{source}:{lineno}: expected '<vertex> <colour>'")
         try:
-            v, col = int(parts[0]), int(parts[1])
+            v, col = read_int(parts[0]), read_int(parts[1])
         except ValueError:
             raise ColouringError(f"{source}:{lineno}: non-integer field") from None
         if not (1 <= v <= n):

@@ -9,11 +9,15 @@ import warnings
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .colouring import Colouring, ColouringError, is_proper, is_rs, is_star
 from .graph import (
     Graph,
     GraphError,
     VertexId,
+    _with_pendants,
+    read_int,
     read_text,
     subdivide_all_edges,
     write_text,
@@ -89,14 +93,8 @@ def g_plus(g: Graph) -> Graph:
     """Pendant-pad every original vertex to degree max_degree(g) + 1."""
     if g.n == 0:
         raise GraphError("g_plus needs a nonempty graph")
-    target = g.max_degree() + 1
-    edges = list(g.edges())
-    next_id = g.n
-    for v in range(g.n):
-        for _ in range(target - g.degree(v)):
-            edges.append((v, next_id))
-            next_id += 1
-    return Graph.from_edge_list(next_id, edges)
+    degrees = g.degrees()
+    return _with_pendants(g, np.repeat(np.arange(g.n), degrees.max() + 1 - degrees))
 
 
 def upper_bound_colouring(g: Graph, independent_set: Iterable[int]) -> Colouring:
@@ -361,16 +359,11 @@ def edge_blowup(g: Graph) -> BlowupGraph:
     if g.m == 0:
         raise GraphError("edge blow-up needs at least one edge")
     width = g.max_degree() + 1
-    edges: list[tuple[int, int]] = []
-    names: dict[tuple[int, int], tuple[int, ...]] = {}
-    nxt = g.n
-    for u, v in g.edges():
-        fresh = tuple(range(nxt, nxt + width))
-        nxt += width
-        names[(u, v)] = fresh
-        for e in fresh:
-            edges += [(u, e), (v, e)]
-    return BlowupGraph(Graph.from_edge_list(nxt, edges), names, g.n)
+    u, v = g.edge_arrays()
+    fresh = np.arange(g.n, g.n + g.m * width)  # width of them per edge, in edge order
+    ends = np.column_stack((np.repeat(np.concatenate((u, v)), width), np.tile(fresh, 2)))
+    names = dict(zip(g.edges(), map(tuple, fresh.reshape(g.m, width).tolist())))
+    return BlowupGraph(Graph.from_edge_list(g.n + g.m * width, ends), names, g.n)
 
 
 def colouring_lift(g: Graph, bu: BlowupGraph, pc: Colouring) -> Colouring:
@@ -463,7 +456,7 @@ def parse_cnf(text: str, source: str = "<cnf>") -> PositiveCnf:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"{source}:{lineno}: expected 'p cnf <vars> <clauses>'")
             try:
-                num_vars, declared = int(parts[2]), int(parts[3])
+                num_vars, declared = read_int(parts[2]), read_int(parts[3])
             except ValueError:
                 raise CnfError(f"{source}:{lineno}: non-integer counts") from None
             if num_vars < 0 or declared < 0:
@@ -475,7 +468,7 @@ def parse_cnf(text: str, source: str = "<cnf>") -> PositiveCnf:
         if num_vars == -1:
             raise CnfError(f"{source}:{lineno}: clause before problem line")
         try:
-            lits = [int(tok) for tok in parts]
+            lits = [read_int(tok) for tok in parts]
         except ValueError:
             raise CnfError(f"{source}:{lineno}: non-integer literal") from None
         if not lits or lits[-1] != 0:

@@ -10,17 +10,20 @@ the arrays directly, whose locality pays for that at scale, while Python loops
 over every row first copy them by ``tolist()``, one C pass after which each
 read returns a stored int.  ``neighbours(v)`` returns a fresh list.  Graphs
 are immutable after construction; every operation that "modifies" a graph
-returns a new one.
+returns a new one.  Connectivity and bipartiteness come from one labelling,
+``_component_labels``, of the graph or of its bipartite double cover
+(``bipartition``); ``girth`` is the one breadth-first search.
 
 Graph files (``read_graph_file``, ``parse_graph``) have one record per line:
 ``p edge <n> <m>`` once, then ``e <u> <v>`` per edge with 1-based endpoints.
 Lines break at ``\\n``, ``\\r\\n`` and ``\\r``, as in a file read in text
 mode; inside a line any whitespace separates tokens.  A line whose first
-token is exactly ``c`` is a comment; blank lines are skipped.  Endpoints are
-read as ``int()`` reads them.  Bytes that are not UTF-8, a negative count, an
-endpoint outside 1..n, a self-loop, an edge listed twice (in either
-orientation), any other malformed line and a wrong edge count are errors that
-name ``source:line``; the first bad line in file order is reported.
+token is exactly ``c`` is a comment; blank lines are skipped.  Numbers are
+read as ``int()`` reads them, but a ``_`` is refused (``read_int``).  Bytes
+that are not UTF-8, a negative count, an endpoint outside 1..n, a self-loop,
+an edge listed twice (in either orientation), any other malformed line and a
+wrong edge count are errors that name ``source:line``; the first bad line in
+file order is reported.
 
 ``parse_graph`` reads the whole text of a file.  After the comment and blank
 lines and the problem line, ``match_lines`` checks the edge lines with one
@@ -131,14 +134,10 @@ class Graph:
         return i < hi and self.targets[i] == v
 
     def edges(self) -> Iterator[Edge]:
-        """All edges (u, v) with u < v, lexicographically, one row at a time:
-        a caller that stops early reads no more, and a small graph pays no
-        numpy call.  ``edge_arrays`` gives them all at once."""
-        off, tgt = self.offsets.tolist(), self.targets.tolist()
-        for u in range(self.n):
-            for v in tgt[off[u]:off[u + 1]]:
-                if u < v:
-                    yield (u, v)
+        """All edges (u, v) with u < v, lexicographically: ``edge_arrays`` as
+        lists, so a caller that stops early still pays for every edge."""
+        u, v = self.edge_arrays()
+        return zip(u.tolist(), v.tolist())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The endpoints u < v of all edges, in lexicographic order, as two
@@ -206,8 +205,9 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 # -- connectivity ----------------------------------------------------------
 
 
-def _component_labels(g: Graph) -> np.ndarray:
-    """The least vertex of each vertex's component, as an int64 array.
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component in the graph on 0..n-1
+    whose edges are the pairs (u[i], v[i]), as an int64 array.
 
     Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 1982):
     ``f`` starts as the identity and every label is a root, ``f[r] == r``.
@@ -218,8 +218,7 @@ def _component_labels(g: Graph) -> np.ndarray:
     its component's least vertex.  An edge whose ends agree never parts again
     and leaves the working set.
     """
-    f = np.arange(g.n, dtype=np.int64)
-    u, v = g.edge_arrays()
+    f = np.arange(n, dtype=np.int64)
     while True:
         a, b = f[u], f[v]
         live = a != b
@@ -241,7 +240,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     component's least vertex, ascending within each group."""
     if g.n == 0:
         return []
-    labels = _component_labels(g)
+    labels = _component_labels(g.n, *g.edge_arrays())
     order = np.argsort(labels, kind="stable")
     bounds = np.flatnonzero(np.diff(labels[order])) + 1
     vertices = order.tolist()
@@ -281,7 +280,7 @@ def component_subgraphs(g: Graph) -> list[tuple[Graph, list[int]]]:
 
 def is_connected(g: Graph) -> bool:
     """Whether every vertex's component has least vertex 0."""
-    return not _component_labels(g).any()
+    return not _component_labels(g.n, *g.edge_arrays()).any()
 
 
 def is_tree(g: Graph) -> bool:
@@ -348,25 +347,21 @@ def list_triangles(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
-    """Two-sided partition witness from BFS two-colouring, or None."""
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] != -1:
-            continue
-        side[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbours(u):
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-    return (
-        [v for v in range(g.n) if side[v] == 0],
-        [v for v in range(g.n) if side[v] == 1],
-    )
+    """The sides of a two-colouring as ascending lists, or None.
+
+    In the double cover each edge uv becomes (u, v + n) and (u + n, v), so v
+    and its copy v + n share a component exactly when v is on an odd closed
+    walk.  Side 1 is every v labelled above its copy, which puts the least
+    vertex r of each component on side 0, as a breadth-first two-colouring
+    from r does: r's cover component holds r's side and the copies of the
+    other side, so it is labelled r, below the other one."""
+    n = g.n
+    u, v = g.edge_arrays()
+    labels = _component_labels(2 * n, np.concatenate((u, u + n)), np.concatenate((v + n, v)))
+    here, copy = labels[:n], labels[n:]
+    if (here == copy).any():
+        return None
+    return np.flatnonzero(here < copy).tolist(), np.flatnonzero(here > copy).tolist()
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -472,9 +467,15 @@ def attach_pendants(g: Graph, v: VertexId, count: int) -> Graph:
         raise GraphError(f"vertex {v} out of range")
     if count < 0:
         raise GraphError("pendant count must be nonnegative")
-    edges = list(g.edges())
-    edges.extend((v, g.n + i) for i in range(count))
-    return Graph.from_edge_list(g.n + count, edges)
+    return _with_pendants(g, np.full(count, v, dtype=np.int64))
+
+
+def _with_pendants(g: Graph, owners: np.ndarray) -> Graph:
+    """`g` with a fresh vertex g.n + i adjacent to ``owners[i]`` for each i."""
+    u, v = g.edge_arrays()
+    pendants = np.arange(g.n, g.n + len(owners), dtype=np.int64)
+    ends = np.column_stack((np.concatenate((u, owners)), np.concatenate((v, pendants))))
+    return Graph.from_edge_list(g.n + len(owners), ends)
 
 
 def subdivide_all_edges(g: Graph) -> tuple[Graph, dict[Edge, VertexId]]:
@@ -483,15 +484,10 @@ def subdivide_all_edges(g: Graph) -> tuple[Graph, dict[Edge, VertexId]]:
     Returns the new graph and the map (u, v) -> w with u < v, so gadget
     builders can name the subdivision vertices.
     """
-    new_edges: list[Edge] = []
-    names: dict[Edge, VertexId] = {}
-    next_id = g.n
-    for u, v in g.edges():
-        names[(u, v)] = next_id
-        new_edges.append((u, next_id))
-        new_edges.append((next_id, v))
-        next_id += 1
-    return Graph.from_edge_list(next_id, new_edges), names
+    u, v = g.edge_arrays()
+    w = np.arange(g.n, g.n + g.m)  # the i-th edge in lexicographic order gets g.n + i
+    ends = np.column_stack((np.concatenate((u, w)), np.concatenate((w, v))))
+    return Graph.from_edge_list(g.n + g.m, ends), dict(zip(g.edges(), w.tolist()))
 
 
 # -- standard families -----------------------------------------------------
@@ -553,6 +549,13 @@ def parse_graph(text: str, source: str = "<graph>") -> Graph:
     return _scan_graph(text.split("\n"), source)
 
 
+def read_int(token: str) -> int:
+    """``int(token)``, but a ``_``, which ``int()`` skips, is a ValueError too."""
+    if "_" in token:
+        raise ValueError(f"invalid literal for int(): {token!r}")
+    return int(token)
+
+
 def _problem_line(text: str) -> tuple[int, int, int] | None:
     """(n, m, offset of the next line) of a file that opens with comment and
     blank lines, then a valid problem line; None for any other file."""
@@ -570,7 +573,7 @@ def _problem_line(text: str) -> tuple[int, int, int] | None:
     if len(parts) != 4 or parts[0] != "p" or parts[1] != "edge":
         return None
     try:
-        n, m = int(parts[2]), int(parts[3])
+        n, m = read_int(parts[2]), read_int(parts[3])
     except ValueError:
         return None
     return (n, m, end + 1) if n >= 0 else None
@@ -616,7 +619,7 @@ def _scan_graph(lines: Iterable[str], source: str) -> Graph:
         kind = parts[0]
         if kind == "e" and len(parts) == 3 and n != -1:
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = read_int(parts[1]), read_int(parts[2])
             except ValueError:
                 raise GraphError(f"{source}:{lineno}: non-integer endpoint") from None
             key = (u, v) if u < v else (v, u)
@@ -640,7 +643,7 @@ def _scan_graph(lines: Iterable[str], source: str) -> Graph:
             problem = "expected 'p edge <n> <m>'"
         else:
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = read_int(parts[2]), read_int(parts[3])
             except ValueError:
                 problem = "non-integer counts"
             else:

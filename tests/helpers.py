@@ -7,6 +7,7 @@ formulation than the library code they check.
 from __future__ import annotations
 
 import bisect
+import collections
 import heapq
 import itertools
 import random
@@ -825,6 +826,14 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     return Graph.from_edge_list(len(old_ids), edges), old_ids
 
 
+def separator_free_int(token: str) -> int:
+    """``int(token)``, refusing the ``_`` digit separators that ``int()`` reads
+    (``1_0`` is 10), as every line reader does."""
+    if "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def line_parsed_graph(lines, source: str = "<graph>") -> Graph:
     n = -1
     edges: list[Edge] = []
@@ -839,7 +848,7 @@ def line_parsed_graph(lines, source: str = "<graph>") -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphError(f"{source}:{lineno}: expected 'p edge <n> <m>'")
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = separator_free_int(parts[2]), separator_free_int(parts[3])
             except ValueError:
                 raise GraphError(f"{source}:{lineno}: non-integer counts") from None
         elif parts[0] == "e":
@@ -848,7 +857,7 @@ def line_parsed_graph(lines, source: str = "<graph>") -> Graph:
             if len(parts) != 3:
                 raise GraphError(f"{source}:{lineno}: expected 'e <u> <v>'")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = separator_free_int(parts[1]), separator_free_int(parts[2])
             except ValueError:
                 raise GraphError(f"{source}:{lineno}: non-integer endpoint") from None
             if not (1 <= u <= n and 1 <= v <= n):
@@ -1407,6 +1416,93 @@ def stepwise_test_3rs_chordal(g: Graph, collect_trees: bool = False) -> ChordalT
 
 
 # -- Python graph passes, as they were before the numpy ones ---------------------------
+
+
+def bfs_bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
+    """``bipartition`` as a breadth-first two-colouring from each unseen vertex
+    in turn, which starts on side 0."""
+    side = [-1] * g.n
+    for s in range(g.n):
+        if side[s] != -1:
+            continue
+        side[s] = 0
+        queue = collections.deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbours(u):
+                if side[w] == -1:
+                    side[w] = 1 - side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return None
+    return (
+        [v for v in range(g.n) if side[v] == 0],
+        [v for v in range(g.n) if side[v] == 1],
+    )
+
+
+def csr_walk_edges(g: Graph) -> list[Edge]:
+    """``Graph.edges`` as a walk of the CSR rows, keeping each higher target."""
+    off, tgt = g.offsets.tolist(), g.targets.tolist()
+    return [(u, v) for u in range(g.n) for v in tgt[off[u]:off[u + 1]] if u < v]
+
+
+def list_attach_pendants(g: Graph, v: int, count: int) -> Graph:
+    """``attach_pendants`` as a list of the edges and the new pairs."""
+    if not (0 <= v < g.n):
+        raise GraphError(f"vertex {v} out of range")
+    if count < 0:
+        raise GraphError("pendant count must be nonnegative")
+    edges = csr_walk_edges(g)
+    edges.extend((v, g.n + i) for i in range(count))
+    return Graph.from_edge_list(g.n + count, edges)
+
+
+def list_subdivide_all_edges(g: Graph) -> tuple[Graph, dict[Edge, int]]:
+    """``subdivide_all_edges`` as a list of the new edges, one fresh vertex per
+    edge in order."""
+    new_edges: list[Edge] = []
+    names: dict[Edge, int] = {}
+    next_id = g.n
+    for u, v in csr_walk_edges(g):
+        names[(u, v)] = next_id
+        new_edges.append((u, next_id))
+        new_edges.append((next_id, v))
+        next_id += 1
+    return Graph.from_edge_list(next_id, new_edges), names
+
+
+def list_edge_blowup(g: Graph) -> tuple[Graph, dict[Edge, tuple[int, ...]]]:
+    """``constructions.edge_blowup`` as a list of the new edges: the graph and
+    the fresh vertices of each edge."""
+    if g.m == 0:
+        raise GraphError("edge blow-up needs at least one edge")
+    width = g.max_degree() + 1
+    edges: list[Edge] = []
+    names: dict[Edge, tuple[int, ...]] = {}
+    nxt = g.n
+    for u, v in csr_walk_edges(g):
+        fresh = tuple(range(nxt, nxt + width))
+        nxt += width
+        names[(u, v)] = fresh
+        for e in fresh:
+            edges += [(u, e), (v, e)]
+    return Graph.from_edge_list(nxt, edges), names
+
+
+def list_g_plus(g: Graph) -> Graph:
+    """``constructions.g_plus`` as a list of the edges and one pair per
+    pendant, numbered vertex by vertex."""
+    if g.n == 0:
+        raise GraphError("g_plus needs a nonempty graph")
+    target = g.max_degree() + 1
+    edges = csr_walk_edges(g)
+    next_id = g.n
+    for v in range(g.n):
+        for _ in range(target - g.degree(v)):
+            edges.append((v, next_id))
+            next_id += 1
+    return Graph.from_edge_list(next_id, edges)
 
 
 def python_connected_components(g: Graph) -> list[list[int]]:

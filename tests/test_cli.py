@@ -12,6 +12,7 @@ from rscol.colouring import (
 )
 from rscol.graph import Graph, path_graph, read_graph_file, star_graph, write_graph_file
 from rscol.hessian import read_dense_csv, read_matrix_market
+from rscol.solver import SolveStatus, decide_k_rs
 
 
 @pytest.fixture
@@ -175,8 +176,7 @@ class TestSolve:
             g = read_graph_file(name)
             assert is_rs(g, parse_colouring(witness_bytes.decode(), g.n))
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("k, threads", [("0", "1"), ("0", "2")])
     def test_no_colours_is_no_for_any_threads(self, tmp_path, capsys, threads, k):
         write_graph_file(path_graph(3), str(tmp_path / "p3.gr"))
         code, token, _ = run_cli(
@@ -184,6 +184,21 @@ class TestSolve:
             "--threads", threads,
         )
         assert (code, token) == (1, "NO")
+
+    @pytest.mark.parametrize("n, k, code, token, detail", [
+        (3, "-1", 2, "ERROR", "usage error: -k must be nonnegative, got -1"),
+        (0, "-1", 2, "ERROR", "usage error: -k must be nonnegative, got -1"),
+        (3, "0", 1, "NO", "nodes: 0"),
+        (0, "0", 0, "YES", "nodes: 0"),
+    ], ids=["-1", "-1-empty", "0", "0-empty"])
+    def test_colour_count_at_and_below_zero(self, tmp_path, capsys, n, k, code, token, detail):
+        write_graph_file(path_graph(n), str(tmp_path / "p.gr"))
+        got = run_cli(capsys, "solve", "--task", "decide-rs", "-g", tmp_path / "p.gr", "-k", k)
+        assert got[:2] == (code, token)
+        assert got[2].splitlines()[1] == detail
+        # the library keeps its answers: no colours is NO, and YES on the empty graph
+        status = decide_k_rs(path_graph(n), int(k)).status
+        assert status == (SolveStatus.YES if n == 0 else SolveStatus.NO)
 
     @pytest.mark.parametrize("flag, value", [
         ("--budget-nodes", "0"), ("--budget-secs", "0"), ("--budget-secs", "-1"),

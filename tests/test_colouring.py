@@ -412,6 +412,14 @@ class TestFileFormat:
         c = Colouring.of(colours)
         assert parse_colouring(format_colouring(c), len(c)) == c
 
+    @pytest.mark.parametrize("text", ["1 0\n2 1_0\n", "1 0\n0_2 1\n"])
+    def test_digit_separator_rejected_at_its_line(self, text):
+        # int() reads 1_0 as 10
+        with pytest.raises(ColouringError, match=r"^f:2: non-integer field$"):
+            parse_colouring(text, 2, "f")
+        with pytest.raises(ColouringError, match=r"^f:2: non-integer field$"):
+            parse_partial_colouring(text, 2, 11, "f")
+
     def test_errors(self):
         with pytest.raises(ColouringError, match=":1"):
             parse_colouring("1 0 9\n", 2)
@@ -483,7 +491,7 @@ class TestWholeFileReader:
         ("2 1\n3 0\n", "f:2: vertex 3 outside 1..2"),
         ("2 1\n2 0\n", "f:2: vertex 2 coloured twice"),
         ("2 1\n", "f: vertices without colour: [1]"),
-        ("1 0\n2 1_0\n", None),
+        ("1 0\n2 1_0\n", "f:2: non-integer field"),
         ("1 0\n2 99999999999999999999\n", None),
         ("1 0\n+2 1\n", None),
     ])

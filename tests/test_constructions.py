@@ -99,6 +99,15 @@ class TestGPlus:
         plus = g_plus(Graph.from_edge_list(1, []))
         assert plus.n == 2 and plus.degree(0) == 1
 
+    def test_against_edge_list_builder(self, rng):
+        graphs = [helpers.random_graph(rng.randint(1, 14), rng.random() * 0.5, rng)
+                  for _ in range(100)]
+        for g in graphs + [Graph.from_edge_list(1, []), cycle_graph(5), helpers.dart()]:
+            assert g_plus(g) == helpers.list_g_plus(g), list(g.edges())
+        for builder in (g_plus, helpers.list_g_plus):
+            with pytest.raises(GraphError, match="^g_plus needs a nonempty graph$"):
+                builder(Graph.from_edge_list(0, []))
+
     def test_shifts_rs_colourability(self, rng):
         checked = 0
         while checked < 40:
@@ -327,12 +336,33 @@ class TestCnfFormat:
         with pytest.raises(CnfError, match=f"^{re.escape(message)}$"):
             parse_cnf(text, "f")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 1_0 1\n1 2 3 0\n", "f:1: non-integer counts"),
+        ("p cnf 3 0_1\n1 2 3 0\n", "f:1: non-integer counts"),
+        ("p cnf 10 1\n1 2 1_0 0\n", "f:2: non-integer literal"),
+        ("p cnf 3 1\n1 2 3 0_0\n", "f:2: non-integer literal"),
+    ])
+    def test_rejects_digit_separator_at_its_line(self, text, message):
+        # int() reads 1_0 as 10
+        with pytest.raises(CnfError, match=f"^{re.escape(message)}$"):
+            parse_cnf(text, "f")
+
 
 class TestEdgeBlowup:
     def test_k3_counts(self):
         bu = edge_blowup(complete_graph(3))
         assert bu.graph.n == 3 + 3 * 3
         assert is_bipartite(bu.graph)
+
+    def test_against_edge_list_builder(self, rng):
+        for _ in range(100):
+            g = helpers.random_graph(rng.randint(2, 14), rng.random() * 0.5, rng)
+            if g.m == 0:
+                continue
+            bu = edge_blowup(g)
+            assert (bu.graph, bu.edge_vertices) == helpers.list_edge_blowup(g), list(g.edges())
+            assert bu.original_n == g.n
+            assert all(type(x) is int for e, fresh in bu.edge_vertices.items() for x in (*e, *fresh))
 
     def test_single_edge(self):
         bu = edge_blowup(Graph.from_edge_list(2, [(0, 1)]))

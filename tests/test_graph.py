@@ -13,6 +13,7 @@ from rscol.graph import (
     Graph,
     GraphError,
     attach_pendants,
+    bipartition,
     complete_graph,
     component_subgraphs,
     connected_components,
@@ -162,6 +163,12 @@ class TestCsrAgainstListOfLists:
         assert list(zip(u.tolist(), v.tolist())) == list(g.edges()) == oracle
         assert all(type(x) is int for e in g.edges() for x in e)
         assert format_graph(g, comment) == helpers.line_formatted_graph(g, comment)
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_LISTS)
+    def test_edges_against_csr_walk(self, n_edges):
+        g = Graph.from_edge_list(*n_edges)
+        assert list(g.edges()) == helpers.csr_walk_edges(g)
 
     def test_neighbours_is_a_copy(self):
         g = path_graph(3)
@@ -402,8 +409,6 @@ class TestBipartite:
         assert is_bipartite(Graph.from_edge_list(4, []))
 
     def test_partition_witness(self, rng):
-        from rscol.graph import bipartition
-
         for _ in range(20):
             g = helpers.random_graph(rng.randint(1, 10), 0.3, rng)
             witness = bipartition(g)
@@ -440,6 +445,64 @@ def as_networkx(g: Graph) -> nx.Graph:
 
 
 CHORDAL = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def bipartite_mixes(draw, max_n: int = 60) -> Graph:
+    """Disjoint unions, at most `max_n` vertices in all, of isolated vertices,
+    odd cycles, and random graphs on a planted bipartition, some with one more
+    edge inside a side, which may close an odd cycle; labelled by one of
+    LABELLINGS, so the least vertex of a component may lie on either side."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for kind in draw(st.lists(st.sampled_from(["isolated", "odd", "planted", "planted+1"]),
+                              max_size=6)):
+        size = 1 if kind == "isolated" else draw(st.integers(3, 21))
+        if n + size > max_n:
+            break
+        if kind == "odd":
+            size -= 1 - size % 2
+            part = [(i, (i + 1) % size) for i in range(size)]
+        elif kind.startswith("planted"):
+            side = [rnd.random() < 0.5 for _ in range(size)]
+            p = draw(st.sampled_from([0.1, 0.3, 0.7]))
+            part = [(u, v) for u in range(size) for v in range(u + 1, size)
+                    if side[u] != side[v] and rnd.random() < p]
+            same = [(u, v) for u in range(size) for v in range(u + 1, size) if side[u] == side[v]]
+            if kind == "planted+1" and same:
+                part.append(rnd.choice(same))
+        else:
+            part = []
+        edges += [(u + n, v + n) for u, v in part]
+        n += size
+    return relabelled(n, edges, draw(st.sampled_from(LABELLINGS)), rnd)
+
+
+class TestBipartiteAgainstBfs:
+    """Sides from the component labels of the double cover, against the
+    breadth-first two-colouring they replaced and against networkx."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(bipartite_mixes())
+    def test_same_sides_as_bfs(self, g):
+        sides = bipartition(g)
+        assert sides == helpers.bfs_bipartition(g)
+        assert is_bipartite(g) == (sides is not None) == nx.is_bipartite(as_networkx(g))
+        if sides is not None:
+            assert all(type(v) is int for side in sides for v in side)
+
+    @pytest.mark.parametrize("g, sides", [
+        (Graph.from_edge_list(0, []), ([], [])),
+        (Graph.from_edge_list(3, []), ([0, 1, 2], [])),
+        (Graph.from_edge_list(4, [(1, 3)]), ([0, 1, 2], [3])),
+        (Graph.from_edge_list(5, [(4, 0), (4, 1), (3, 2)]), ([0, 1, 2], [3, 4])),
+        (Graph.from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4)]), None),
+        (Graph.from_edge_list(7, [(5, 6)] + [(i, (i + 1) % 5) for i in range(5)]), None),
+    ], ids=["empty", "isolated", "isolated-and-edge", "least-vertex-side-0", "triangle",
+            "c5-and-edge"])
+    def test_examples(self, g, sides):
+        assert bipartition(g) == helpers.bfs_bipartition(g) == sides
 
 
 class TestChordal:
@@ -541,6 +604,26 @@ class TestSurgery:
         assert g.degree(0) == 3
         assert girth(g) == 4  # girth preserved
         assert [g.degree(v) for v in range(1, 4)] == [2, 2, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_LISTS, st.integers(-1, 30), st.integers(-1, 4))
+    def test_attach_pendants_against_edge_list_builder(self, n_edges, v, count):
+        g = Graph.from_edge_list(*n_edges)
+        try:
+            expected = helpers.list_attach_pendants(g, v, count)
+        except GraphError as exc:
+            with pytest.raises(GraphError, match=f"^{re.escape(str(exc))}$"):
+                attach_pendants(g, v, count)
+        else:
+            assert attach_pendants(g, v, count) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_LISTS)
+    def test_subdivide_against_edge_list_builder(self, n_edges):
+        g, names = subdivide_all_edges(Graph.from_edge_list(*n_edges))
+        expected, expected_names = helpers.list_subdivide_all_edges(Graph.from_edge_list(*n_edges))
+        assert g == expected and names == expected_names
+        assert all(type(x) is int for edge, w in names.items() for x in (*edge, w))
 
     def test_subdivide_k3_gives_c6(self):
         g, names = subdivide_all_edges(cycle_graph(3))

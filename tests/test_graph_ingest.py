@@ -59,7 +59,8 @@ def distinct_edges(m: int, rnd: random.Random) -> tuple[int, list[tuple[int, int
 
 
 def respell(value: int, how: int) -> str:
-    """A spelling of `value` that int() reads back as `value`."""
+    """A spelling of `value` that int() reads back as `value`; the readers
+    refuse the one with a ``_`` (how == 2) as a non-integer endpoint."""
     text = str(value)
     if how == 0:
         return "+" + text
@@ -407,6 +408,19 @@ class TestProblemLine:
     def test_negative_count_rejected_at_its_line(self, text, message):
         with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
             parse_graph(text, "f")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p edge 1_0 0\n", "f:1: non-integer counts"),
+        ("c note\np edge 3 0_1\ne 1 2\n", "f:2: non-integer counts"),
+        ("p edge 10 1\ne 1 1_0\n", "f:2: non-integer endpoint"),
+        ("p edge 10 2\ne 1 2\ne 1_0 1\n", "f:3: non-integer endpoint"),
+    ])
+    def test_digit_separator_rejected_at_its_line(self, text, message):
+        # int() reads 1_0 as 10
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            parse_graph(text, "f")
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            helpers.line_parsed_graph(io.StringIO(text), "f")
 
 
 class TestArrayBuilder:
