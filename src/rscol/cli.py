@@ -49,7 +49,7 @@ def _parse_vertex_list(text: str, n: int, what: str) -> list[int]:
         if not tok:
             continue
         try:
-            v = int(tok)
+            v = graph.read_int(tok)
         except ValueError:
             raise graph.GraphError(f"{what}: non-integer vertex {tok!r}") from None
         if not (1 <= v <= n):
@@ -98,6 +98,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    stray = [flag for flag, value in (("-k", args.colours), ("--precolouring", args.precolouring),
+                                      ("--witness-out", args.witness_out)) if value is not None]
+    if stray and args.task != "decide-rs":
+        raise _UsageError(f"{stray[0]} applies to decide-rs only, not to {args.task}")
     g = graph.read_graph_file(args.graph)
     _maybe_dot(g, args)
     budget = _budget(args)

@@ -26,7 +26,8 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, VertexId, _csr_arrays, match_lines, read_int, read_text, write_text
+from .graph import (INT_FIELD, Graph, VertexId, _csr_arrays, match_lines, read_int, read_text,
+                    write_text)
 
 
 class ColouringError(ValueError):
@@ -347,10 +348,7 @@ def check_properties_P(g: Graph, c: Colouring) -> PropertyReport:
 # A line whose first token is exactly "c" is a comment, as in graph files.
 
 
-COLOUR_LINE = "[0-9]{1,18} [0-9]{1,18}"
-"""A colouring line as the whole-file path reads it: two runs of one to 18
-ASCII digits separated by one space.  Every such run fits an int64, so numpy
-reads it exactly as ``int()`` does."""
+COLOUR_LINE = f"{INT_FIELD} {INT_FIELD}"
 
 
 def _colour_pairs(text: str, n: int, k: int | None) -> tuple[np.ndarray, np.ndarray] | None:

@@ -39,7 +39,7 @@ class PositiveCnf:
         if self.num_vars < 1:
             raise CnfError("formula needs at least one variable")
         for cl in self.clauses:
-            if len(set(cl)) != 3:
+            if len(cl) != 3 or len(set(cl)) != 3:
                 raise CnfError(f"clause {cl} does not have 3 distinct variables")
             for x in cl:
                 if not (1 <= x <= self.num_vars):
@@ -479,7 +479,7 @@ def parse_cnf(text: str, source: str = "<cnf>") -> PositiveCnf:
                 raise CnfError(f"{source}:{lineno}: negated literal {lit} not allowed")
             if lit == 0 or lit > num_vars:
                 raise CnfError(f"{source}:{lineno}: variable {lit} outside 1..{num_vars}")
-        if len(set(lits)) != 3:
+        if len(lits) != 3 or len(set(lits)) != 3:
             raise CnfError(f"{source}:{lineno}: clause needs exactly 3 distinct variables")
         clauses.append(tuple(sorted(lits)))
     if num_vars == -1:

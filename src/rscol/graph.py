@@ -522,10 +522,12 @@ def hypercube_graph(d: int) -> Graph:
 # "c <comment>" / "p edge <n> <m>" / "e <u> <v>" with 1-based endpoints.
 
 
-EDGE_LINE = r"e [0-9]{1,18} [0-9]{1,18}"
-"""An edge line as the fast path reads it: ``e`` and two runs of one to 18
-ASCII digits, separated by single spaces.  Every such run fits an int64, so
-numpy reads it exactly as ``int()`` does."""
+INT_FIELD = "[0-9]{1,18}"
+"""The digit field of every whole-file regex: one to 18 ASCII digits, which
+fit an int64, so numpy reads them as ``read_int`` does.  The line scanners
+and the CLI vertex lists read each number token by ``read_int``/``read_float``."""
+
+EDGE_LINE = f"e {INT_FIELD} {INT_FIELD}"
 
 MATCH_CHUNK = 1 << 16
 """Characters of lines matched by one ``fullmatch`` call in ``match_lines``.
@@ -554,6 +556,13 @@ def read_int(token: str) -> int:
     if "_" in token:
         raise ValueError(f"invalid literal for int(): {token!r}")
     return int(token)
+
+
+def read_float(token: str) -> float:
+    """``float(token)``, but a ``_``, which ``float()`` skips, is a ValueError too."""
+    if "_" in token:
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
 
 
 def _problem_line(text: str) -> tuple[int, int, int] | None:

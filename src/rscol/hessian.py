@@ -34,7 +34,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .colouring import Colouring, is_rs
-from .graph import Graph, match_lines, read_text, write_text
+from .graph import INT_FIELD, Graph, match_lines, read_float, read_int, read_text, write_text
 
 MAX_SIDE = math.isqrt(2**63 - 1)
 """The largest matrix side n for which every cell (i, j) has an int64 key i * n + j."""
@@ -287,9 +287,9 @@ def parse_matrix_market(text: str, source: str = "<mtx>") -> CooMatrix:
     `text` is the whole file.  The result stores every listed cell, and in
     symmetric data the mirror of every off-diagonal one.  Each cell may be
     listed once; in symmetric data (i, j) and (j, i) name the same cell.
-    ``integer`` values follow ``int()`` rules.  A repeated cell, a field that
-    is not a number (``_`` included, which ``int`` and ``float`` would skip,
-    on the size line too) or a value that is not finite raises PatternError
+    Sizes and indices are read by ``graph.read_int``, values by ``read_float``
+    (``integer`` ones after ``read_int``).  A repeated cell, a field that these
+    refuse (``_`` included) or a value that is not finite raises PatternError
     with ``source:line``; repeats and non-finite values are found after the
     last line, so a malformed line anywhere in the file is reported first.
     A side n above MAX_SIDE raises OverflowError, and a side whose rows at
@@ -320,16 +320,14 @@ def _header(line: str, source: str) -> tuple[str, bool]:
     return kind, symmetry == "general"
 
 
-_INDEX = "[0-9]{1,15}"  # below 2**53, so float64 holds each index exactly
-
 ENTRY_LINE = {
-    "pattern": f"{_INDEX} {_INDEX}",
-    "integer": f"{_INDEX} {_INDEX} [+-]?[0-9]{{1,640}}",
-    "real": f"{_INDEX} {_INDEX} "
+    "pattern": f"{INT_FIELD} {INT_FIELD}",
+    "integer": f"{INT_FIELD} {INT_FIELD} [+-]?[0-9]{{1,640}}",
+    "real": f"{INT_FIELD} {INT_FIELD} "
             r"[+-]?(?:(?:[0-9]+\.[0-9]*|[0-9]+|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf(?:inity)?))",
 }
 """The regex of an entry line of each kind as the whole-file path reads it:
-two indices of at most 15 ASCII digits, then an ``integer`` value of at most
+two ``graph.INT_FIELD`` indices, then an ``integer`` value of at most
 640 digits (the least limit ``sys.set_int_max_str_digits`` takes, so
 ``int()`` reads every such run) or a ``real`` decimal literal, ``nan`` or
 ``inf``, separated by single spaces.  ``np.fromstring`` reads each such field
@@ -340,7 +338,7 @@ def _entry_arrays(text: str, source: str) -> tuple | None:
     """The arguments of ``_assemble`` for a file made of a header, comment and
     blank lines, a valid size line, then only entry lines, each matching the
     kind's ``ENTRY_LINE`` and with both indices in range; None for any other
-    file, one whose size line holds ``_`` included.
+    file.
 
     ``graph.match_lines`` checks all entry lines with that regex, and one
     ``np.fromstring`` reads all their fields.  A blank line among the entries
@@ -361,10 +359,10 @@ def _entry_arrays(text: str, source: str) -> tuple | None:
         parts = text[start:end].split()
         lineno += 1
     try:
-        n, n_cols, expected = map(int, parts)
+        n, n_cols, expected = map(read_int, parts)
     except ValueError:  # also a size line without three fields
         return None
-    if n != n_cols or not 0 <= n <= MAX_SIDE or "_" in text[start:end]:
+    if n != n_cols or not 0 <= n <= MAX_SIDE:
         return None
     body = text[end + 1:]
     if body and body[-1] != "\n":
@@ -374,6 +372,7 @@ def _entry_arrays(text: str, source: str) -> tuple | None:
     if lines is None or lines.count("\n") != m:  # blank lines dropped would renumber the entries
         return None
     fields = np.fromstring(lines, sep=" ").reshape(m, 2 if kind == "pattern" else 3)
+    # n <= MAX_SIDE < 2**53: an index in range is exact in float64, one past 2**53 out of range
     rows = fields[:, 0].astype(np.int64) - 1
     cols = fields[:, 1].astype(np.int64) - 1
     if ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)).any():
@@ -391,14 +390,7 @@ def _scan_matrix(lines: Iterable[str], source: str) -> CooMatrix:
     except StopIteration:
         raise PatternError(f"{source}: empty file") from None
     kind, general = _header(header, source)
-
-    def integer(tok: str) -> float:
-        int(tok)  # the integer grammar: no point, exponent, nan or inf
-        return float(tok)
-
-    number = integer if kind == "integer" else float
-    n: int | None = None
-    expected = 0
+    n, expected = -1, 0
     rows: list[int] = []
     cols: list[int] = []
     values: list[float] = []
@@ -408,15 +400,13 @@ def _scan_matrix(lines: Iterable[str], source: str) -> CooMatrix:
         if not line or line.startswith("%"):
             continue
         parts = line.split()
-        if n is None:
+        if n == -1:
             if len(parts) != 3:
                 raise PatternError(f"{source}:{lineno}: expected 'rows cols nnz'")
             try:
-                n, n_cols, expected = int(parts[0]), int(parts[1]), int(parts[2])
+                n, n_cols, expected = map(read_int, parts)
             except ValueError:
-                n = None
-            if n is None or "_" in line:  # int() reads 1_0 as 10
-                raise PatternError(f"{source}:{lineno}: non-numeric size line")
+                raise PatternError(f"{source}:{lineno}: non-numeric size line") from None
             if n != n_cols:
                 raise PatternError(f"{source}:{lineno}: matrix must be square")
             if n < 0:
@@ -426,19 +416,19 @@ def _scan_matrix(lines: Iterable[str], source: str) -> CooMatrix:
         if len(parts) != want:
             raise PatternError(f"{source}:{lineno}: expected {want} fields")
         try:
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            value = 1.0 if kind == "pattern" else number(parts[2])
+            i, j = read_int(parts[0]) - 1, read_int(parts[1]) - 1
+            if kind == "integer":
+                read_int(parts[2])  # the integer grammar: no point, exponent, nan or inf
+            value = 1.0 if kind == "pattern" else read_float(parts[2])
         except ValueError:
-            value = None
-        if value is None or "_" in line:  # int() and float() read 1_0 as 10
-            raise PatternError(f"{source}:{lineno}: non-numeric entry")
+            raise PatternError(f"{source}:{lineno}: non-numeric entry") from None
         if not (0 <= i < n and 0 <= j < n):
             raise PatternError(f"{source}:{lineno}: index out of range")
         rows.append(i)
         cols.append(j)
         values.append(value)
         entry_lines.append(lineno)
-    if n is None:
+    if n == -1:
         raise PatternError(f"{source}: missing size line")
     return _assemble(n, general, expected, rows, cols, values, entry_lines, source)
 
@@ -545,11 +535,11 @@ def write_dense_csv(matrix: np.ndarray | CooMatrix, path_or_file: str | IO[str])
 def parse_dense_csv(text: str, source: str = "<csv>") -> np.ndarray:
     """The matrix of `text`, the whole of a dense CSV file, one row per line.
 
-    A field that is not a number (``_`` included, which ``float`` would
-    skip), a value that is not finite (``nan``, ``inf``, ``1e400``) or a row
-    whose length differs from the first row's raises PatternError with
-    ``source:line``.  Blank lines are skipped, and a file with no nonblank
-    line reads as a 0 x 0 matrix.
+    A field that ``graph.read_float`` refuses (``_`` included, which
+    ``float()`` skips), a value that is not finite (``nan``, ``inf``,
+    ``1e400``) or a row whose length differs from the first row's raises
+    PatternError with ``source:line``.  Blank lines are skipped, and a file
+    with no nonblank line reads as a 0 x 0 matrix.
 
     The file is read by ``_csv_array``, which reads every field with
     ``float`` in one pass and checks the row lengths and values in bulk.  A
@@ -565,12 +555,13 @@ def _csv_array(text: str) -> np.ndarray | None:
     fields as the first, each read by ``float`` to a finite value; None for
     any other file, a blank line included (its field is empty).
 
-    The fields are those of the lines joined by commas, converted by one
-    ``np.fromiter`` over ``map(float, ...)``: the scanner's own conversion,
-    so the values are the scanner's bit for bit.  (A regex of the decimal
-    grammar followed by one ``np.fromstring`` took longer: on the compressed
-    products of ``hessian-grid`` the regex alone cost a third of the read,
-    and numpy parses a float no faster than ``float``.)
+    The one ``_`` test of the body is ``read_float``'s rule in bulk: a
+    ``read_float`` per cell would add a Python call per cell on the compressed
+    products of ``hessian-grid``.  One ``np.fromiter`` over ``map(float, ...)``
+    converts the fields of the lines joined by commas, so the values are the
+    scanner's bit for bit.  (A regex of the decimal grammar and one
+    ``np.fromstring`` took longer: on those products the regex alone cost a
+    third of the read, and numpy parses a float no faster than ``float``.)
     """
     body = text[:-1] if text.endswith("\n") else text
     if not body or "_" in body:
@@ -595,11 +586,9 @@ def _scan_csv(lines: Iterable[str], source: str) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            row = [float(tok) for tok in line.split(",")]
+            row = list(map(read_float, line.split(",")))
         except ValueError:
-            row = None
-        if row is None or "_" in line:  # float() reads 1_0 as 10
-            raise PatternError(f"{source}:{lineno}: non-numeric field")
+            raise PatternError(f"{source}:{lineno}: non-numeric field") from None
         if not all(map(math.isfinite, row)):
             raise PatternError(f"{source}:{lineno}: non-finite value")
         if rows and len(row) != len(rows[0]):

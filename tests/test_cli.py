@@ -212,6 +212,30 @@ class TestSolve:
         assert (code, token) == (2, "ERROR")
         assert out.splitlines()[1] == "budget limits must be positive"
 
+    @pytest.mark.parametrize("task", ["chi-rs", "chi-star", "chi-ordered", "mis"])
+    @pytest.mark.parametrize("flag, value", [
+        ("-k", "3"), ("-k", "-1"), ("--precolouring", "pre.col"), ("--witness-out", "w.col"),
+    ])
+    def test_decide_flags_refused_with_other_tasks(self, workdir, monkeypatch, capsys, task,
+                                                   flag, value):
+        monkeypatch.chdir(workdir)
+        (workdir / "pre.col").write_text("1 0\n")
+        code, token, out = run_cli(capsys, "solve", "--task", task, "-g", "dart.gr", flag, value)
+        assert (code, token) == (2, "ERROR")
+        detail = f"usage error: {flag} applies to decide-rs only, not to {task}"
+        assert out.splitlines()[1] == detail
+        assert not (workdir / "w.col").exists()
+
+    @pytest.mark.parametrize("task, token", [
+        ("decide-rs", "YES"), ("chi-rs", "3"), ("chi-star", "3"), ("chi-ordered", "3"),
+        ("mis", "3"),
+    ])
+    def test_threads_accepted_with_every_task(self, workdir, capsys, task, token):
+        k = ["-k", "3"] if task == "decide-rs" else []
+        code, token_out, _ = run_cli(capsys, "solve", "--task", task, "-g", workdir / "dart.gr",
+                                     *k, "--threads", "2")
+        assert (code, token_out) == (0, token)
+
     def test_dot_export_flag(self, workdir, capsys):
         dot = workdir / "dart.dot"
         code, token, _ = run_cli(
@@ -348,6 +372,17 @@ class TestGenerators:
         assert g.n == 40 and g.m == 48
         name_map = dict(line.split() for line in names.read_text().splitlines())
         assert "x1" in name_map and "b_4_3" in name_map
+
+    # a repeated variable gets the message of a clause with four variables
+    @pytest.mark.parametrize("clause", ["1 1 2 3 0", "1 2 3 3 0", "1 2 3 4 0"])
+    def test_gen_sat_refuses_clause_without_three_distinct_variables(self, tmp_path, capsys,
+                                                                     clause):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(f"p cnf 4 1\n{clause}\n")
+        code, token, out = run_cli(capsys, "gen-sat", "-f", cnf, "-o", tmp_path / "g.gr")
+        assert (code, token) == (2, "ERROR")
+        assert out.splitlines()[1] == f"{cnf}:2: clause needs exactly 3 distinct variables"
+        assert not (tmp_path / "g.gr").exists()
 
     def test_gen_sat_girth_variant(self, workdir, capsys):
         out = workdir / "gg.gr"
@@ -575,7 +610,10 @@ class TestErrors:
         extra = ()
         if command == "cobip-convert":
             extra = ("-c", workdir / "dart.col", "-o", workdir / "out.col")
-        for vertices, message in (("1, x", "non-integer vertex 'x'"), ("1,2,1", "vertex 1 listed twice")):
+        separated = "1_0,11" if command == "split-chi" else "1_1"  # int() reads 10 and 11
+        for vertices, message in (("1, x", "non-integer vertex 'x'"),
+                                  ("1,2,1", "vertex 1 listed twice"),
+                                  (separated, f"non-integer vertex {separated.split(',')[0]!r}")):
             code, token, out = run_cli(capsys, command, "-g", workdir / "dart.gr", flag, vertices, *extra)
             assert (code, token) == (2, "ERROR")
             assert out.splitlines()[1] == f"{flag}: {message}"

@@ -318,6 +318,16 @@ class TestCnfFormat:
         with pytest.raises(CnfError, match="3 distinct"):
             parse_cnf("p cnf 3 1\n1 2 0\n")
 
+    @pytest.mark.parametrize("clause", ["1 1 2 3 0", "3 1 2 3 0"])
+    def test_rejects_repeated_variable_at_its_line(self, clause):
+        with pytest.raises(CnfError, match="^f:2: clause needs exactly 3 distinct variables$"):
+            parse_cnf(f"p cnf 3 1\n{clause}\n", "f")
+
+    @pytest.mark.parametrize("clause", [(1, 1, 2, 3), (1, 2, 2), (1, 2), (1, 2, 3, 3)])
+    def test_formula_refuses_clause_without_three_distinct_variables(self, clause):
+        with pytest.raises(CnfError, match="3 distinct"):
+            PositiveCnf.of(3, [clause])
+
     def test_rejects_missing_terminator(self):
         with pytest.raises(CnfError, match="end with 0"):
             parse_cnf("p cnf 3 1\n1 2 3\n")

@@ -815,9 +815,17 @@ class TestEntryLineCheck:
         ("integer", "2 1 inf", False),
         ("pattern", "2 1", True),
         ("pattern", f"{2:015d} {1:015d}", True),
-        ("pattern", f"{2:016d} 1", False),
+        ("pattern", f"{2:016d} 1", True),
         ("pattern", f"2 {'9' * 15}", False),  # out of range
-        ("pattern", f"{'9' * 16} 1", False),
+        ("pattern", f"{'9' * 16} 1", False),  # out of range
+        ("pattern", f"{2:017d} {1:018d}", True),
+        ("pattern", f"{2:019d} 1", False),  # past graph.INT_FIELD
+        ("pattern", f"{2**53 + 1} 1", False),  # out of range; float64 reads it as 2**53
+        ("pattern", f"2 {'9' * 17}", False),  # out of range
+        ("pattern", f"{'9' * 18} 1", False),  # out of range
+        ("pattern", f"1 {'9' * 19}", False),  # past graph.INT_FIELD, out of range
+        ("integer", f"{2:018d} 1 -7", True),
+        ("real", f"2 {1:016d} 0.5", True),
         ("pattern", "+2 1", False),
     ]
 

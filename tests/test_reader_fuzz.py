@@ -8,14 +8,23 @@ The colouring, MatrixMarket and CSV readers take a whole file through a bulk
 path and fall back to their line scanner; the scanner called on the file's
 lines must give the same value or the same error, on token soup and on valid
 files with a few mutations.
+
+A ``_`` put into any numeric field of a valid file of any of these formats,
+or of a graph file, is refused at its line, with the same message on both
+paths where a reader has two; ``graph.read_float`` is ``float`` bit for bit
+on every token without ``_``.
 """
 
+import struct
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rscol.colouring import ColouringError, _scan_colouring, parse_colouring, parse_partial_colouring
 from rscol.constructions import CnfError, parse_cnf
+from rscol.graph import GraphError, _scan_graph, parse_graph, read_float
 from rscol.hessian import (
     CooMatrix,
     PatternError,
@@ -218,3 +227,131 @@ def test_mutated_csv_files(text):
 def test_mutated_matrix_market_files(text):
     same_on_both_paths(lambda t: parse_matrix_market(t, SOURCE), lambda ls: _scan_matrix(ls, SOURCE),
                        text, PatternError, matrix_key)
+
+
+# -- a digit separator in a numeric field ------------------------------------------
+
+
+@st.composite
+def with_separator(draw, lines, sep=" "):
+    """(the file of `lines` with a ``_`` put anywhere into one numeric token,
+    one that starts with a digit, a sign or a point; that line's number)."""
+    spots = [(i, j) for i, line in enumerate(lines)
+             for j, tok in enumerate(line.split(sep)) if tok and tok[0] in "0123456789+-."]
+    i, j = draw(st.sampled_from(spots))
+    tokens = lines[i].split(sep)
+    at = draw(st.integers(0, len(tokens[j])))
+    tokens[j] = tokens[j][:at] + "_" + tokens[j][at:]
+    return "\n".join(lines[:i] + [sep.join(tokens)] + lines[i + 1:]) + "\n", i + 1
+
+
+def refused_at(parse, scan, text: str, error, message: str) -> None:
+    """parse(text) and scan on its lines both raise `error` with `message`."""
+    for read in (lambda: parse(text), lambda: scan(text.split("\n"))):
+        with pytest.raises(error) as exc:
+            read()
+        assert str(exc.value) == message
+
+
+SEPARATED = settings(max_examples=100, deadline=None)
+
+
+@SEPARATED
+@given(st.data(), st.integers(0, 6))
+def test_separator_in_graph_file(data, n):
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    text, lineno = data.draw(with_separator(
+        ["c a comment", f"p edge {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]))
+    what = "counts" if lineno == 2 else "endpoint"
+    refused_at(lambda t: parse_graph(t, SOURCE), lambda ls: _scan_graph(ls, SOURCE), text,
+               GraphError, f"{SOURCE}:{lineno}: non-integer {what}")
+
+
+@SEPARATED
+@given(st.data(), st.integers(1, 6), st.integers(1, 4))
+def test_separator_in_colouring_file(data, n, k):
+    colours = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    text, lineno = data.draw(with_separator([f"{v + 1} {c}" for v, c in enumerate(colours)]))
+    message = f"{SOURCE}:{lineno}: non-integer field"
+    refused_at(lambda t: parse_colouring(t, n, SOURCE),
+               lambda ls: _scan_colouring(ls, n, SOURCE), text, ColouringError, message)
+    refused_at(lambda t: parse_partial_colouring(t, n, k, SOURCE),
+               lambda ls: _scan_colouring(ls, n, SOURCE, k), text, ColouringError, message)
+
+
+@SEPARATED
+@given(st.data(), st.integers(3, 6))
+def test_separator_in_cnf_file(data, n):
+    clauses = data.draw(st.lists(st.permutations(range(1, n + 1)).map(lambda p: p[:3]),
+                                 max_size=4))
+    text, lineno = data.draw(with_separator(
+        [f"p cnf {n} {len(clauses)}"] + [f"{a} {b} {c} 0" for a, b, c in clauses]))
+    what = "counts" if lineno == 1 else "literal"
+    with pytest.raises(CnfError, match=f"^{SOURCE}:{lineno}: non-integer {what}$"):
+        parse_cnf(text, SOURCE)
+
+
+@SEPARATED
+@given(st.data(), st.sampled_from(["real", "integer", "pattern"]), st.integers(1, 5))
+def test_separator_in_matrix_market_file(data, kind, n):
+    cells = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6,
+                               unique_by=lambda ij: (max(ij), min(ij))))
+    values = {"pattern": st.just(""), "integer": st.integers(-99, 99).map(" {}".format),
+              "real": CELLS.map(" {}".format)}[kind]
+    entries = [f"{i} {j}{data.draw(values)}" for i, j in cells]
+    text, lineno = data.draw(with_separator(
+        [f"%%MatrixMarket matrix coordinate {kind} symmetric", f"{n} {n} {len(entries)}"]
+        + entries))
+    what = "size line" if lineno == 2 else "entry"
+    refused_at(lambda t: parse_matrix_market(t, SOURCE), lambda ls: _scan_matrix(ls, SOURCE),
+               text, PatternError, f"{SOURCE}:{lineno}: non-numeric {what}")
+
+
+@SEPARATED
+@given(st.data(), st.integers(1, 4), st.integers(1, 4))
+def test_separator_in_csv_file(data, rows, cols):
+    lines = [",".join(data.draw(st.lists(CELLS, min_size=cols, max_size=cols)))
+             for _ in range(rows)]
+    text, lineno = data.draw(with_separator(lines, ","))
+    refused_at(lambda t: parse_dense_csv(t, SOURCE), lambda ls: _scan_csv(ls, SOURCE), text,
+               PatternError, f"{SOURCE}:{lineno}: non-numeric field")
+
+
+FLOAT_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.floats().map("{:e}".format),
+    st.integers().map(str),
+    st.sampled_from(["nan", "-nan", "+NaN", "inf", "-inf", "+Infinity", "iNF", "1e400", "-1e-400",
+                     ".5", "5.", "+.5e-3", "1E5", "-0", " 1.5\t", "", ".", "e5", "0x1p3",
+                     "\u0663.\u0665", "1__0"]),
+    st.text("0123456789+-.eEinfaINFA_ ", max_size=8),
+)
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(FLOAT_TOKENS)
+def test_read_float_is_float_without_separator(token):
+    if "_" in token:
+        with pytest.raises(ValueError):
+            read_float(token)
+        return
+    try:
+        want = float(token)
+    except ValueError:
+        with pytest.raises(ValueError):
+            read_float(token)
+    else:
+        assert float_bits(read_float(token)) == float_bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_TOKENS, st.data())
+def test_read_float_refuses_separator(token, data):
+    at = data.draw(st.integers(0, len(token)))
+    with pytest.raises(ValueError):
+        read_float(token[:at] + "_" + token[at:])
