@@ -71,8 +71,7 @@ def _emit(token: str, *details: str) -> int:
 
 def _maybe_dot(g: graph.Graph, args) -> None:
     if getattr(args, "dot", None):
-        with open(args.dot, "w") as fh:
-            fh.write(graph.to_dot(g))
+        graph.write_text(graph.to_dot(g), args.dot)
 
 
 # -- command handlers ------------------------------------------------------------
@@ -117,7 +116,8 @@ def _cmd_solve(args) -> int:
                     args.precolouring, g.n, args.colours
                 )
             result = solver.decide_k_rs(g, args.colours, pre=pre, budget=budget)
-            if args.witness_out and result.witness is not None:  # only a YES has one
+            # only a YES has a witness, and every YES has one: empty on the empty graph
+            if args.witness_out and result.witness is not None:
                 colouring.write_colouring_file(result.witness, args.witness_out)
             # the SolveStatus member names are the RESULT tokens
             return _emit(result.status.name, f"nodes: {result.nodes}")

@@ -7,6 +7,9 @@ edge is one compare over the arcs, and the key x·n + c(y) of an arc x -> y
 repeats in one stable sort exactly when x has two neighbours coloured c(y).
 rs forbids a repeat among the arcs into a lower colour, star an edge whose two
 arcs both repeat, distance-two any repeat.  Ordered, a path rule, is a scan.
+The properties of Observation 2 (``check_properties_P``) follow from rs, so
+they are checked as its consequence by the rs pass alone; no path is
+enumerated outside the tests.
 
 Colouring files (``read_colouring_file``, ``read_partial_colouring_file``)
 have one line ``<vertex_1based> <colour_0based>`` per coloured vertex, in any
@@ -22,7 +25,7 @@ vertices a full colouring leaves out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -248,39 +251,7 @@ def is_distance_two(g: Graph, c: Colouring) -> bool:
     return arcs is not None and not arcs[2].any()
 
 
-# -- Observation-2 property checker ------------------------------------------
-
-
-def iter_paths(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
-    """All simple paths on `length` vertices, each undirected path once
-    (smaller endpoint first)."""
-    if length < 1:
-        return
-    if length == 1:
-        for v in range(g.n):
-            yield (v,)
-        return
-
-    path = [0] * length
-    on_path = [False] * g.n
-
-    def extend(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == length:
-            if path[0] < path[-1]:
-                yield tuple(path)
-            return
-        for w in g.neighbours(path[depth - 1]):
-            if not on_path[w]:
-                path[depth] = w
-                on_path[w] = True
-                yield from extend(depth + 1)
-                on_path[w] = False
-
-    for v in range(g.n):
-        path[0] = v
-        on_path[v] = True
-        yield from extend(1)
-        on_path[v] = False
+# -- Observation 2, checked as a consequence of rs --------------------------
 
 
 @dataclass
@@ -304,43 +275,28 @@ class PropertyReport:
 
 
 def check_properties_P(g: Graph, c: Colouring) -> PropertyReport:
-    """Check the structural properties every 3-rs colouring must satisfy:
+    """The structural properties of every 3-rs colouring (Observation 2), each
+    of which follows from rs:
 
-    P1: 3-plus vertices carry a binary colour (0 or 1);
-    P2: adjacent 3-plus vertices carry opposite binary colours;
-    P3: no 3-vertex path with both endpoints coloured 0;
-    P4: no 4-vertex path with endpoints coloured 0 and 1;
-    P6: no 6-vertex path with both endpoints coloured 0.
+    P1: 3-plus vertices carry a binary colour (0 or 1): coloured 2, a vertex
+        has at least three lower neighbours, two of them in one class;
+    P2: adjacent 3-plus vertices carry opposite binary colours: by P1 and
+        properness;
+    P3: no 3-vertex path with both endpoints coloured 0: its middle is
+        higher, which rs forbids;
+    P4: no 4-vertex path with endpoints coloured 0 and 1, and
+    P6: no 6-vertex path with both endpoints coloured 0: rs holds on every
+        path subgraph, and the path lemma (``tree3rs.path_3rs_feasible``)
+        rules out these ends on paths of 4 and 6 vertices.
 
-    Precondition: c is an accepted 3-rs colouring (k = 3).
+    So the check is its preconditions, k = 3 and one ``is_rs`` pass, and the
+    report of an accepted colouring passes every property.
     """
     if c.k != 3:
         raise ColouringError("property check requires a 3-colour budget")
     if not is_rs(g, c):
         raise ColouringError("property check requires an accepted 3-rs colouring")
-    report = PropertyReport()
-    three_plus = [v for v in range(g.n) if g.degree(v) >= 3]
-    for v in three_plus:
-        if c[v] == 2 and report.p1.passed:
-            report.p1 = PropertyCheck(False, (v,))
-    for u in three_plus:
-        for v in g.neighbours(u):
-            if u < v and g.degree(v) >= 3 and c[v] != 1 - c[u]:
-                if report.p2.passed:
-                    report.p2 = PropertyCheck(False, (u, v))
-    for p in iter_paths(g, 3):
-        if c[p[0]] == 0 and c[p[-1]] == 0:
-            report.p3 = PropertyCheck(False, p)
-            break
-    for p in iter_paths(g, 4):
-        if {c[p[0]], c[p[-1]]} == {0, 1}:
-            report.p4 = PropertyCheck(False, p)
-            break
-    for p in iter_paths(g, 6):
-        if c[p[0]] == 0 and c[p[-1]] == 0:
-            report.p6 = PropertyCheck(False, p)
-            break
-    return report
+    return PropertyReport()
 
 
 # -- file format --------------------------------------------------------------

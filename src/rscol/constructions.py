@@ -130,14 +130,24 @@ class SplitPartition:
     independent: tuple[int, ...]
 
 
+def _check_partition(g: Graph, sides: Sequence[Sequence[int]], cliques: Sequence[Sequence[int]],
+                     names: str, missing: str) -> None:
+    """Raise GraphError unless `sides` partition the vertices and each of `cliques`
+    is a clique, naming the first missing pair u < v in side order by 1-based ids."""
+    sets = [set(side) for side in sides]
+    if sum(map(len, sets)) != g.n or set().union(*sets) != set(range(g.n)):
+        raise GraphError(f"{names} must partition the vertices")
+    for side in cliques:
+        for u in side:
+            for v in side:
+                if u < v and not g.has_edge(u, v):
+                    raise GraphError(f"{missing} ({u + 1},{v + 1})")
+
+
 def validate_split_partition(g: Graph, p: SplitPartition) -> None:
-    cl, ind = set(p.clique), set(p.independent)
-    if cl & ind or len(cl) + len(ind) != g.n or (cl | ind) != set(range(g.n)):
-        raise GraphError("clique and independent sides must partition the vertices")
-    for u in p.clique:
-        for v in p.clique:
-            if u < v and not g.has_edge(u, v):
-                raise GraphError(f"clique side misses edge ({u + 1},{v + 1})")
+    _check_partition(g, (p.clique, p.independent), (p.clique,),
+                     "clique and independent sides", "clique side misses edge")
+    ind = set(p.independent)
     for u in p.independent:
         for w in g.neighbours(u):
             if w in ind:
@@ -410,14 +420,7 @@ class CoBipartitePartition:
 
 
 def validate_cobipartite_partition(g: Graph, p: CoBipartitePartition) -> None:
-    sa, sb = set(p.a), set(p.b)
-    if sa & sb or (sa | sb) != set(range(g.n)) or len(sa) + len(sb) != g.n:
-        raise GraphError("sides must partition the vertices")
-    for side in (p.a, p.b):
-        for u in side:
-            for v in side:
-                if u < v and not g.has_edge(u, v):
-                    raise GraphError(f"side is not a clique: missing ({u + 1},{v + 1})")
+    _check_partition(g, (p.a, p.b), (p.a, p.b), "sides", "side is not a clique: missing")
 
 
 def star_to_ordered_cobipartite(

@@ -16,6 +16,9 @@ c(x).  Ordered colourings are decided through treedepth by an exact DP over
 connected vertex subsets held as int bitmasks: up to about 25 vertices when
 sparse and 16 when dense, where budget nodes count DP subproblems.  The DP
 recurses once per rank, so the recursion limit bounds it too.
+
+Every YES carries a witness its verifier accepts, the empty colouring of the
+empty graph included; a budget k below 0 colours nothing, as k = 0 does.
 """
 
 from __future__ import annotations
@@ -160,6 +163,7 @@ def _run(
     """The one engine of rs and star search; on_witness returns a true value to
     stop at this witness.  Star colour classes are unordered, so star search
     offers a vertex only the colours in use (used[d] at depth d) plus one new colour."""
+    k = max(k, 0)  # no colours at all, as at k = 0
     s = _Search(g, k, budget)
     feasible = s.rs_feasible if kind == "rs" else s.star_feasible
     unordered = kind == "star"
@@ -226,10 +230,8 @@ def decide_k_rs(
 ) -> SolveResult:
     """Is there a k-rs colouring of g extending `pre`?
 
-    NO means exhaustive refutation; budget exhaustion is reported distinctly.
+    YES carries its witness, NO is an exhaustive refutation, and running out of budget is distinct.
     """
-    if k < 1:
-        return SolveResult(SolveStatus.NO if g.n else SolveStatus.YES)
     return _run(g, k, "rs", pre, budget, on_witness=lambda w: True)
 
 
@@ -251,13 +253,18 @@ def enumerate_k_rs(
     yield from found
 
 
+def _neighbour_masks(g: Graph) -> list[int]:
+    """The neighbours of each vertex as an int bitmask, bit u for neighbour u."""
+    return [sum(1 << u for u in row) for row in g.adjacency()]
+
+
 def _greedy_clique_size(g: Graph) -> int:
     """The size of a clique of `g`, at most its clique number ω and on small
     graphs mostly equal to it: the largest clique grown greedily from each
     vertex, each step adding the candidate (a common neighbour of the clique
     so far) with the most candidate neighbours, the least such on a tie.  A
     start whose degree cannot beat the best so far is skipped."""
-    masks = [sum(1 << w for w in row) for row in g.adjacency()]
+    masks = _neighbour_masks(g)
     best = 0
     for v in range(g.n):
         size, candidates = 1, masks[v]
@@ -289,9 +296,7 @@ def rs_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:
 
 
 def decide_k_star(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> SolveResult:
-    """Is there a k-star colouring of g?"""
-    if k < 1:
-        return SolveResult(SolveStatus.NO if g.n else SolveStatus.YES)
+    """Is there a k-star colouring of g?  YES carries a witness that passes ``is_star``."""
     return _run(g, k, "star", None, budget, on_witness=lambda w: True)
 
 
@@ -327,9 +332,8 @@ def decide_k_ordered(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> 
     time and memory limit this to about 25 vertices on sparse graphs and about
     16 on dense ones.
     """
-    if k < 1:
-        return SolveResult(SolveStatus.NO if g.n else SolveStatus.YES)
-    nb = [sum(1 << u for u in g.neighbours(v)) for v in range(g.n)]
+    k = max(k, 0)  # no colours at all, as at k = 0
+    nb = _neighbour_masks(g)
     depth: dict[int, int] = {}  # connected subset -> its treedepth
     root: dict[int, int] = {}  # connected subset -> lowest vertex attaining it
     floor: dict[int, int] = {}  # connected subset -> a proven lower bound
@@ -399,12 +403,10 @@ def decide_k_ordered(g: Graph, k: int, budget: SolveBudget = DEFAULT_BUDGET) -> 
 
 def ordered_chromatic_number(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> int:
     """Treedepth of g: the fewest colours of an ordered colouring."""
-    if g.n == 0:
-        return 0
     result = decide_k_ordered(g, g.n, budget=budget)
     if result.status is SolveStatus.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"budget exhausted after {result.nodes} subproblems")
-    return max(result.witness.colours) + 1
+    return max(result.witness.colours, default=-1) + 1
 
 
 # -- maximum independent set ------------------------------------------------------
@@ -417,7 +419,7 @@ def max_independent_set(g: Graph, budget: SolveBudget = DEFAULT_BUDGET) -> list[
     (lowest index on ties), including it first; a node costs one popcount per
     candidate.
     """
-    nb = [sum(1 << u for u in g.neighbours(v)) for v in range(g.n)]
+    nb = _neighbour_masks(g)
     best = 0
     count = _NodeCount(budget)
     # open nodes as (chosen, candidates); the include branch is pushed last, so searched first

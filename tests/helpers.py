@@ -14,7 +14,7 @@ import random
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 from hypothesis import strategies as st
@@ -22,7 +22,10 @@ from hypothesis import strategies as st
 from rscol.chordal3rs import ChordalTestResult, NotChordalError
 from rscol.colouring import (
     Colouring,
+    ColouringError,
     PartialColouring,
+    PropertyCheck,
+    PropertyReport,
     _check_domain,
     is_ordered,
     is_proper,
@@ -186,6 +189,74 @@ def scan_is_distance_two(g: Graph, c: Colouring) -> bool:
                 return False
             seen.add(c[w])
     return True
+
+
+# -- path enumeration and the Observation-2 scan ----------------------------------
+# check_properties_P as it was before it became a consequence of rs: the
+# preconditions, then the P1/P2 loops and a scan of every simple 3-, 4- and
+# 6-vertex path.
+
+
+def iter_paths(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
+    """All simple paths on `length` vertices, each undirected path once
+    (smaller endpoint first)."""
+    if length < 1:
+        return
+    if length == 1:
+        for v in range(g.n):
+            yield (v,)
+        return
+
+    path = [0] * length
+    on_path = [False] * g.n
+
+    def extend(depth: int) -> Iterator[tuple[int, ...]]:
+        if depth == length:
+            if path[0] < path[-1]:
+                yield tuple(path)
+            return
+        for w in g.neighbours(path[depth - 1]):
+            if not on_path[w]:
+                path[depth] = w
+                on_path[w] = True
+                yield from extend(depth + 1)
+                on_path[w] = False
+
+    for v in range(g.n):
+        path[0] = v
+        on_path[v] = True
+        yield from extend(1)
+        on_path[v] = False
+
+
+def scan_check_properties_P(g: Graph, c: Colouring) -> PropertyReport:
+    if c.k != 3:
+        raise ColouringError("property check requires a 3-colour budget")
+    if not is_rs(g, c):
+        raise ColouringError("property check requires an accepted 3-rs colouring")
+    report = PropertyReport()
+    three_plus = [v for v in range(g.n) if g.degree(v) >= 3]
+    for v in three_plus:
+        if c[v] == 2 and report.p1.passed:
+            report.p1 = PropertyCheck(False, (v,))
+    for u in three_plus:
+        for v in g.neighbours(u):
+            if u < v and g.degree(v) >= 3 and c[v] != 1 - c[u]:
+                if report.p2.passed:
+                    report.p2 = PropertyCheck(False, (u, v))
+    for p in iter_paths(g, 3):
+        if c[p[0]] == 0 and c[p[-1]] == 0:
+            report.p3 = PropertyCheck(False, p)
+            break
+    for p in iter_paths(g, 4):
+        if {c[p[0]], c[p[-1]]} == {0, 1}:
+            report.p4 = PropertyCheck(False, p)
+            break
+    for p in iter_paths(g, 6):
+        if c[p[0]] == 0 and c[p[-1]] == 0:
+            report.p6 = PropertyCheck(False, p)
+            break
+    return report
 
 
 # -- star oracles ---------------------------------------------------------------

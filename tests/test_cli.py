@@ -200,6 +200,15 @@ class TestSolve:
         status = decide_k_rs(path_graph(n), int(k)).status
         assert status == (SolveStatus.YES if n == 0 else SolveStatus.NO)
 
+    def test_zero_colour_yes_writes_the_empty_witness(self, tmp_path, capsys):
+        (tmp_path / "empty.gr").write_text("p edge 0 0\n")
+        out = tmp_path / "w.col"
+        got = run_cli(capsys, "solve", "--task", "decide-rs", "-g", tmp_path / "empty.gr",
+                      "-k", "0", "--witness-out", out)
+        assert got == (0, "YES", "RESULT: YES\nnodes: 0\n")
+        assert out.read_bytes() == b""
+        assert parse_colouring(out.read_text(), 0) == Colouring((), 0)
+
     @pytest.mark.parametrize("flag, value", [
         ("--budget-nodes", "0"), ("--budget-secs", "0"), ("--budget-secs", "-1"),
         ("--budget-secs", "nan"),

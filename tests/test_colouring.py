@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +15,7 @@ from rscol.colouring import (
     Colouring,
     ColouringError,
     PartialColouring,
+    PropertyReport,
     check_properties_P,
     find_proper_violation,
     find_rs_violation,
@@ -23,14 +25,18 @@ from rscol.colouring import (
     is_proper,
     is_rs,
     is_star,
-    iter_paths,
     parse_colouring,
     parse_partial_colouring,
 )
-from rscol.constructions import CoBipartitePartition, star_to_ordered_cobipartite
-from rscol.graph import Graph, cycle_graph, path_graph, star_graph
+from rscol.constructions import (
+    CoBipartitePartition,
+    assignment_to_3rs_colouring,
+    sat_to_graph,
+    star_to_ordered_cobipartite,
+)
+from rscol.graph import Graph, cycle_graph, path_graph, star_graph, subdivide_all_edges
 from rscol.hessian import greedy_rs_colouring
-from rscol.solver import SolveStatus, decide_k_rs, enumerate_k_rs
+from rscol.solver import SolveBudget, SolveStatus, decide_k_rs, enumerate_k_rs
 
 
 class TestProper:
@@ -238,7 +244,7 @@ class TestOrdered:
             if not is_proper(g, c):
                 return False
             for length in range(2, g.n + 1):
-                for p in iter_paths(g, length):
+                for p in helpers.iter_paths(g, length):
                     if c[p[0]] == c[p[-1]] and all(c[v] <= c[p[0]] for v in p[1:-1]):
                         return False
             return True
@@ -322,10 +328,102 @@ class TestPropertiesP:
                 continue
             seen += 1
             c = result.witness
-            for p in iter_paths(g, 4):
+            for p in helpers.iter_paths(g, 4):
                 for u, v, w, x in (p, p[::-1]):
                     if c[u] == 0 and c[v] == 1:
                         assert c[w] == 2 and c[x] == 0
+
+
+def _property_outcome(check, g, c):
+    """The report of `check` on (g, c), or the message of the ColouringError it raises."""
+    try:
+        return check(g, c)
+    except ColouringError as exc:
+        return str(exc)
+
+
+@st.composite
+def property_instances(draw):
+    """A graph and a colouring for the Observation-2 checkers: a random graph on
+    6 to 12 vertices, a subdivided random tree, or a 1-in-3 SAT gadget, each
+    with a 3-rs colouring (a solver witness under a random one-vertex
+    precolouring, or the gadget's colouring of a planted assignment), which is
+    then kept, given one random recolouring (often not rs), or given a budget k
+    other than 3."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "subdivided-tree", "sat"]))
+    if kind == "sat":
+        f, assignment = helpers.random_planted_cnf(rng, rng.randint(4, 7), rng.randint(1, 3))
+        gg = sat_to_graph(f, variant=draw(st.sampled_from(["basic", "girth"])))
+        g, c = gg.graph, assignment_to_3rs_colouring(f, gg, assignment)
+    else:
+        if kind == "random":
+            n = rng.randint(6, 12)
+            g = helpers.random_graph(n, rng.choice([0.2, 0.35, 0.5]), rng)
+        else:
+            g = subdivide_all_edges(helpers.random_tree(rng.randint(2, 14), rng))[0]
+        v = rng.randrange(g.n)
+        pre = PartialColouring.of(g.n, {v: rng.randrange(3)}, 3)
+        result = decide_k_rs(g, 3, pre=pre, budget=SolveBudget(max_nodes=200_000))
+        if result.status is SolveStatus.YES:
+            c = result.witness
+        else:
+            c = Colouring.of([rng.randrange(3) for _ in range(g.n)], 3)
+    change = draw(st.sampled_from(["keep", "recolour", "budget"]))
+    if change == "recolour" and g.n:
+        colours = list(c.colours)
+        colours[rng.randrange(g.n)] = rng.randrange(3)
+        c = Colouring.of(colours, 3)
+    elif change == "budget":
+        c = Colouring.of(c.colours, draw(st.sampled_from([max(c.colours) + 1, 4, 7])))
+    return g, c
+
+
+class TestPropertiesAgainstScan:
+    """check_properties_P, which checks rs, against the scan of every 3-, 4- and
+    6-vertex path it replaced (helpers.scan_check_properties_P)."""
+
+    def test_every_graph_up_to_five_vertices(self):
+        # 1,100 labelled graphs and their 17,408 3-rs colourings, about 2 s
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in itertools.product([False, True], repeat=len(pairs)):
+                g = Graph.from_edge_list(n, list(itertools.compress(pairs, chosen)))
+                for c in enumerate_k_rs(g, 3):
+                    report = check_properties_P(g, c)
+                    assert report == helpers.scan_check_properties_P(g, c), (n, chosen, c)
+                    assert report.all_pass()
+
+    @settings(max_examples=300, deadline=None)
+    @given(property_instances())
+    def test_matches_scan(self, instance):
+        g, c = instance
+        got = _property_outcome(check_properties_P, g, c)
+        assert got == _property_outcome(helpers.scan_check_properties_P, g, c)
+        assert isinstance(got, str) or got.all_pass()
+
+    @pytest.mark.parametrize("g, colours, k, message", [
+        (path_graph(3), [0, 1, 0], 3, "property check requires an accepted 3-rs colouring"),
+        (path_graph(3), [0, 0, 1], 3, "property check requires an accepted 3-rs colouring"),
+        (path_graph(3), [1, 0, 1], 2, "property check requires a 3-colour budget"),
+        (path_graph(3), [1, 0, 1], 4, "property check requires a 3-colour budget"),
+        (path_graph(3), [0, 1, 0], 2, "property check requires a 3-colour budget"),
+    ], ids=["rs-path", "improper", "k2", "k4", "k2-not-rs"])
+    def test_preconditions_raise_as_the_scan_does(self, g, colours, k, message):
+        c = Colouring.of(colours, k)
+        for check in (check_properties_P, helpers.scan_check_properties_P):
+            with pytest.raises(ColouringError) as exc:
+                check(g, c)
+            assert str(exc.value) == message
+
+    def test_large_star_in_one_pass(self):
+        # the path scan took 5.9 s on 2,000 leaves: its 4-vertex paths grow as the square
+        g = star_graph(10_000)
+        c = Colouring.of([0] + [1] * 10_000, 3)
+        start = time.perf_counter()
+        report = check_properties_P(g, c)
+        assert time.perf_counter() - start < 1.0
+        assert report == PropertyReport()
 
 
 class TestCombiningSubcolourings:

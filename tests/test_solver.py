@@ -156,6 +156,13 @@ class TestChromaticNumbers:
         assert solver._greedy_clique_size(complete_graph(6)) == 6
         assert solver._greedy_clique_size(attach_pendants(complete_graph(4), 0, 3)) == 4
 
+    def test_neighbour_masks_are_the_neighbour_sets(self, rng):
+        # the one bitmask builder of the clique bound, the treedepth DP and MIS
+        for _ in range(100):
+            g = helpers.random_graph(rng.randint(0, 14), rng.random(), rng)
+            expected = [sum(1 << u for u in g.neighbours(v)) for v in range(g.n)]
+            assert solver._neighbour_masks(g) == expected
+
     def test_clique_floor_changes_no_answer(self, rng, monkeypatch):
         graphs = [helpers.random_graph(rng.randint(0, 7), rng.random(), rng) for _ in range(40)]
         graphs += [hypercube_graph(3), cycle_graph(5), complete_graph(4), Graph.from_edge_list(0, [])]
@@ -394,6 +401,49 @@ def test_each_chromatic_answer_verified_once(monkeypatch, verifier, chromatic_nu
     monkeypatch.setattr(f"rscol.solver.{verifier}", lambda g, c: calls.append(c) or real(g, c))
     assert chromatic_number(g) == answer
     assert len(calls) == 1
+
+
+class TestNoColours:
+    """A budget k <= 0 colours nothing: YES with the empty colouring on the empty
+    graph, NO otherwise, after no node."""
+
+    DECIDERS = [(decide_k_rs, is_rs), (decide_k_star, is_star), (decide_k_ordered, is_ordered)]
+
+    @pytest.mark.parametrize("decide, verify", DECIDERS, ids=["rs", "star", "ordered"])
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_empty_graph_has_the_empty_witness(self, decide, verify, k):
+        g = Graph.from_edge_list(0, [])
+        result = decide(g, k)
+        assert (result.status, result.witness, result.nodes) == (
+            SolveStatus.YES, Colouring((), 0), 0)
+        assert verify(g, result.witness)
+
+    @pytest.mark.parametrize("decide, verify", DECIDERS, ids=["rs", "star", "ordered"])
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_a_vertex_is_no(self, decide, verify, k, n):
+        result = decide(path_graph(n), k)
+        assert (result.status, result.witness, result.nodes) == (SolveStatus.NO, None, 0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_enumeration_agrees(self, k):
+        assert list(enumerate_k_rs(Graph.from_edge_list(0, []), k)) == [Colouring((), 0)]
+        assert list(enumerate_k_rs(path_graph(2), k)) == []
+
+    @pytest.mark.parametrize("chromatic_number", [
+        rs_chromatic_number, star_chromatic_number, ordered_chromatic_number])
+    def test_empty_graph_needs_no_colours(self, chromatic_number):
+        assert chromatic_number(Graph.from_edge_list(0, [])) == 0
+
+    def test_every_yes_has_a_witness_its_verifier_accepts(self, rng):
+        for _ in range(150):
+            g = helpers.random_graph(rng.randint(0, 6), 0.4, rng)
+            k = rng.randint(-1, 4)
+            for decide, verify in self.DECIDERS:
+                result = decide(g, k)
+                assert (result.witness is not None) == (result.status is SolveStatus.YES)
+                if result.witness is not None:
+                    assert len(result.witness) == g.n and verify(g, result.witness)
 
 
 class TestMaxIndependentSet:
